@@ -12,9 +12,9 @@ from .prenorm import (ChainReport, DyadicChain, DyadicFamily, admissible_hull,
                       admissible_intersection,
                       admissible_quotient_inclusion_check, ball,
                       build_dyadic_family, chain_load, coset_invariant_N_check,
-                      metric_d, micro_assoc_check, prenorm_eval,
-                      prenorm_laws_check, quotient_ball, quotient_metric,
-                      rho_N, rho_ball, shrink, validate_chain)
+                      metric_d, micro_assoc_check, prenorm_laws_check,
+                      quotient_ball, quotient_metric, rho_N, rho_ball, shrink,
+                      validate_chain)
 from .sets import AxisSet, FiniteSet, OriginSet, RadialBall, parse_subset
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "ChainReport", "DyadicChain", "DyadicFamily", "admissible_hull",
     "admissible_intersection", "admissible_quotient_inclusion_check", "ball",
     "build_dyadic_family", "chain_load", "coset_invariant_N_check",
-    "metric_d", "micro_assoc_check", "prenorm_eval", "prenorm_laws_check",
+    "metric_d", "micro_assoc_check", "prenorm_laws_check",
     "quotient_ball", "quotient_metric", "rho_N", "rho_ball", "shrink",
     "validate_chain",
     "AxisSet", "FiniteSet", "OriginSet", "RadialBall", "parse_subset",

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CarrierError, ChainError, CosetError, SampleSpec,
-                   TableError, check_axioms, check_identities)
+from .core import (CarrierError, ChainError, CheckResult, CosetError,
+                   SampleSpec, TableError, check_axioms, check_identities)
 from .cosets import homogeneity_translate, is_L_subgyrogroup, is_subgyrogroup, left_cosets
 from .models import EinsteinModel, MobiusModel, table_load
 from .prenorm import (admissible_hull, admissible_intersection,
@@ -167,32 +167,32 @@ def cmd_cosets(args) -> int:
     rep.add(**_config_record(args, model))
 
     ok, witness = is_subgyrogroup(model, H)
-    rep.add(check="subgyrogroup", verdict="pass" if ok else "fail",
-            samples=len(H) ** 2, residual=0.0 if ok else 1.0,
-            **({"witnesses": [witness]} if witness else {}))
+    rep.add_result(CheckResult.exact("subgyrogroup", len(H) ** 2, witness))
     if ok:
         okl, wl = is_L_subgyrogroup(model, H)
-        rep.add(check="l-subgyrogroup", verdict="pass" if okl else "fail",
-                samples=model.n * len(H), residual=0.0 if okl else 1.0,
-                **({"witnesses": [wl]} if wl else {}))
+        rep.add_result(CheckResult.exact("l-subgyrogroup", model.n * len(H), wl))
     else:
         okl = False
     if okl:
         part = left_cosets(model, H)
         rep.add(check="partition", verdict="pass", samples=model.n,
                 residual=0.0, cosets=[list(c) for c in part.cosets])
+        # at[a, x] is the coset of a + x; h_a is read off each coset's
+        # least member, and is split where another member disagrees
+        at = part.index_of[model.table]
+        img = at[:, part.representatives]
+        split = np.any(at != img[:, part.index_of], axis=1)
+        img.sort(axis=1)
+        first = np.flatnonzero(
+            split | np.any(img != np.arange(len(part.cosets)), axis=1))
         bad = None
-        for a in range(model.n):
-            images = sorted(homogeneity_translate(part, a, i)
-                            for i in range(len(part.cosets)))
-            if images != list(range(len(part.cosets))):
-                bad = {"elements": [a], "images": images}
-                break
-        rep.add(check="homogeneity-bijection",
-                verdict="pass" if bad is None else "fail",
-                samples=model.n * len(part.cosets),
-                residual=0.0 if bad is None else 1.0,
-                **({"witnesses": [bad]} if bad else {}))
+        if first.size:
+            a = int(first[0])
+            for i in range(len(part.cosets)):
+                homogeneity_translate(part, a, i)  # raises where h_a is split
+            bad = {"elements": [a], "images": img[a].tolist()}
+        rep.add_result(CheckResult.exact(
+            "homogeneity-bijection", model.n * len(part.cosets), bad))
     rep.emit(args.out)
     return 1 if rep.failed else 0
 

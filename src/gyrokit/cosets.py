@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CosetError, GyroModel, SampleSpec
+from .core import CosetError, GyroModel, SampleSpec, first_hit
 from .models import FiniteTable
-from .sets import FiniteSet
+from .sets import FiniteSet, member_masks
 
 __all__ = [
     "is_subgyrogroup",
@@ -45,20 +45,19 @@ def is_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
     """
     if model.is_finite:
         H = _as_finite_set(model, H)
-        idx = H.indices()
-        if not idx:
+        idx, inH = H.index_array(), H.members()
+        if not idx.size:
             raise CosetError("H must be nonempty")
-        if 0 not in H:
+        if not inH[0]:
             return False, {"kind": "missing-identity"}
-        for x in idx:
-            for y in idx:
-                if model.op(x, y) not in H:
-                    return False, {"kind": "closure",
-                                   "elements": [int(x), int(y)],
-                                   "product": int(model.op(x, y))}
-        for x in idx:
-            if model.inv(x) not in H:
-                return False, {"kind": "inverse", "elements": [int(x)]}
+        prod = model.table[np.ix_(idx, idx)]
+        hit = first_hit(~inH[prod])
+        if hit:
+            return False, {"kind": "closure", "elements": idx[hit].tolist(),
+                           "product": int(prod[tuple(hit)])}
+        hit = first_hit(~inH[model.inverses[idx]])
+        if hit:
+            return False, {"kind": "inverse", "elements": idx[hit].tolist()}
         return True, None
 
     rng = np.random.default_rng(spec.seed)
@@ -85,11 +84,11 @@ def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
         raise CosetError(f"H is not a subgyrogroup: {witness}")
     if model.is_finite:
         H = _as_finite_set(model, H)
-        for a in range(model.n):
-            for h in H.indices():
-                if H.gyr_image(model, a, h) != H:
-                    return False, {"kind": "gyration",
-                                   "elements": [int(a), int(h)]}
+        idx = H.index_array()
+        hit = first_hit(H.moved_by(model.G[:, idx]))
+        if hit:
+            return False, {"kind": "gyration",
+                           "elements": [hit[0], int(idx[hit[1]])]}
         return True, None
 
     rng = np.random.default_rng(spec.seed + 1)
@@ -145,39 +144,31 @@ def left_cosets(model: FiniteTable, H) -> CosetPartition:
     if not ok:
         raise CosetError(f"H is not an L-subgyrogroup: {witness}")
 
-    n = model.n
-    coset_of = {}
-    for a in range(n):
-        coset_of[a] = FiniteSet(n, indices=model.op(
-            np.full(len(H), a, dtype=np.int64),
-            np.fromiter(H.indices(), dtype=np.int64)))
-
-    distinct = sorted({c.mask for c in coset_of.values()})
-    sets = [FiniteSet(n, m) for m in distinct]
-    union = 0
-    total = 0
-    for s in sets:
-        if union & s.mask:
-            raise CosetError(f"cosets overlap: {s.indices()}")
-        if len(s) != len(H):
-            raise CosetError(f"coset {s.indices()} has size {len(s)} != |H|")
-        union |= s.mask
-        total += len(s)
-    if union != (1 << n) - 1:
+    n, idx = model.n, H.index_array()
+    cos = model.table[:, idx]  # row a: the coset a + H
+    # distinct cosets in ascending bitmask order, and the one of each a
+    found, coset_of = np.unique(member_masks(cos, n)[:, ::-1], axis=0,
+                                return_inverse=True)
+    found, coset_of = found[:, ::-1], coset_of.ravel()
+    overlap = np.any((np.cumsum(found, axis=0) > 1) & found, axis=1)
+    for s, over in zip(found, overlap):
+        members = tuple(np.flatnonzero(s).tolist())
+        if over:
+            raise CosetError(f"cosets overlap: {members}")
+        if len(members) != idx.size:
+            raise CosetError(f"coset {members} has size {len(members)} != |H|")
+    if not found.any(axis=0).all():
         raise CosetError("cosets do not cover the carrier")
 
     # the derivation (a + h) + H = a + (h + H) = a + H, exhaustively
-    for a in range(n):
-        for h in H.indices():
-            if coset_of[model.op(a, h)] != coset_of[a]:
-                raise CosetError(
-                    f"(a+h)+H != a+H at a={a}, h={h}; H is not coset-stable")
+    hit = first_hit(coset_of[cos] != coset_of[:, None])
+    if hit:
+        raise CosetError(f"(a+h)+H != a+H at a={hit[0]}, h={idx[hit[1]]}; "
+                         "H is not coset-stable")
 
-    cosets = sorted((s.indices() for s in sets), key=lambda t: t[0])
-    index_of = np.empty(n, dtype=np.int64)
-    for i, c in enumerate(cosets):
-        for x in c:
-            index_of[x] = i
+    order = np.argsort(found.argmax(axis=1))  # by least element
+    cosets = [tuple(np.flatnonzero(found[i]).tolist()) for i in order]
+    index_of = np.argsort(order)[coset_of]
     return CosetPartition(model=model, H=H, cosets=cosets, index_of=index_of)
 
 
@@ -200,10 +191,10 @@ def homogeneity_translate(partition: CosetPartition, a: int, coset: int) -> int:
     means H is not gyration-invariant enough for the translation to be
     well defined, and raises.
     """
-    model = partition.model
-    images = {partition.project(model.op(a, x)) for x in partition.cosets[coset]}
-    if len(images) != 1:
+    images = np.unique(partition.project(
+        partition.model.op(a, partition.cosets[coset])))
+    if images.size != 1:
         raise CosetError(
             f"h_a is representative-dependent at a={a}, coset={coset}: "
-            f"images {sorted(images)}")
-    return images.pop()
+            f"images {images.tolist()}")
+    return int(images[0])

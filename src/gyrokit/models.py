@@ -13,6 +13,7 @@ models; it drives the exact ball-set arithmetic of the prenorm module.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import IO
@@ -217,6 +218,11 @@ class FiniteTable(GyroModel):
     The identity is always index 0.  Construction runs the exhaustive
     axiom suite and rejects any table that is not a gyrogroup, so every
     live instance is a validated model.  Labels are cosmetic.
+
+    ``G[a, b, z] = gyr[a, b](z)`` is computed once by table lookups and
+    kept in the smallest unsigned dtype: n^3 bytes up to n = 256.  Public
+    methods check carrier membership; the finite algorithms index
+    ``table``, ``inverses`` and ``G`` directly.
     """
 
     is_finite = True
@@ -254,7 +260,9 @@ class FiniteTable(GyroModel):
                 # best effort so that the axiom sweep can run and report
                 left = np.nonzero(tbl[a] == 0)[0]
                 inv[a] = hits[0] if hits.size else (left[0] if left.size else 0)
-        self._inv = inv
+        self.inverses = inv
+        t = tbl.astype(np.min_scalar_type(n - 1))
+        self.G = t[inv[t][:, :, None], t[:, t]]
 
         self._axiom_report = None
         if validate:
@@ -289,7 +297,7 @@ class FiniteTable(GyroModel):
         a = np.asarray(a, dtype=np.int64)
         if not self.contains(a):
             raise CarrierError("index out of range")
-        out = self._inv[a]
+        out = self.inverses[a]
         return int(out) if out.ndim == 0 else out
 
     def residual(self, a, b):
@@ -306,16 +314,34 @@ class FiniteTable(GyroModel):
         """The load-time validation report (None if validate=False)."""
         return self._axiom_report
 
+    def gyr(self, a, b, z):
+        a, b, z = (np.asarray(v, dtype=np.int64) for v in (a, b, z))
+        if not (self.contains(a) and self.contains(b) and self.contains(z)):
+            raise CarrierError("index out of range")
+        out = self.G[a, b, z].astype(np.int64)
+        return int(out) if out.ndim == 0 else out
+
     def gyr_table(self, a: int, b: int) -> np.ndarray:
         """The permutation z -> gyr[a, b](z) as an index array."""
-        return np.asarray(self.gyr(a, b, np.arange(self.n)))
+        return self.gyr(a, b, np.arange(self.n))
 
     def is_group(self) -> bool:
         """True when every gyration is the identity permutation."""
-        n = self.n
-        a, b = np.indices((n, n)).reshape(2, -1)
-        img = self.gyr(a[:, None], b[:, None], np.arange(n)[None, :])
-        return bool(np.all(img == np.arange(n)[None, :]))
+        return bool(np.all(self.G == np.arange(self.n)))
+
+    @functools.cached_property
+    def orbit_labels(self) -> np.ndarray:
+        """Per element, the least element of its unit: the closure under
+        inverse and all gyrations.  Removing whole units keeps a set
+        symmetric and gyration-invariant."""
+        lab = np.arange(self.n, dtype=self.G.dtype)
+        while True:
+            low = np.minimum.reduce(
+                [lab, lab[self.inverses], lab[self.G].min(axis=(0, 1))])
+            low = low[low]
+            if np.array_equal(low, lab):
+                return lab
+            lab = low
 
     def to_dict(self) -> dict:
         return {"order": self.n, "labels": self.labels,
@@ -363,6 +389,9 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     if order != len(table):
         raise TableError(f"declared order {order} != table size {len(table)}")
     labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(
+            isinstance(s, str) for s in labels)):
+        raise TableError("'labels' must be a list of strings")
     # identity-at-0 is enforced by the exhaustive axiom run inside FiniteTable
     return FiniteTable(table, labels=labels,
                        name=name or doc.get("name", "table"), validate=validate)

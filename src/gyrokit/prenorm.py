@@ -48,10 +48,10 @@ from typing import IO
 
 import numpy as np
 
-from .core import ChainError, CheckResult, GyroModel, SampleSpec
+from .core import ChainError, CheckResult, GyroModel, SampleSpec, first_hit
 from .cosets import CosetPartition
 from .models import radial_third
-from .sets import FiniteSet, OriginSet, RadialBall
+from .sets import FiniteSet, OriginSet, RadialBall, member_masks
 
 __all__ = [
     "DyadicChain",
@@ -59,7 +59,6 @@ __all__ = [
     "validate_chain",
     "DyadicFamily",
     "build_dyadic_family",
-    "prenorm_eval",
     "rho_N",
     "metric_d",
     "quotient_metric",
@@ -142,17 +141,31 @@ def chain_load(model: GyroModel, source: str | bytes | IO | dict) -> DyadicChain
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ChainError(f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ChainError("chain document must be a JSON object")
     flavor = doc.get("flavor", "weak")
     if "sets" in doc:
         if not model.is_finite:
             raise ChainError("explicit sets require a finite model")
-        sets = [FiniteSet(model.n, indices=s) for s in doc["sets"]]
+        sets = doc["sets"]
+        if not (isinstance(sets, list) and all(isinstance(t, list) for t in sets)):
+            raise ChainError("'sets' must be a list of index lists")
+        for i in (i for t in sets for i in t):
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ChainError(f"set member {i!r} is not an integer index")
+        try:
+            sets = [FiniteSet(model.n, indices=t) for t in sets]
+        except ValueError as e:
+            raise ChainError(str(e)) from None
         return DyadicChain(sets, flavor)
     if "radii" in doc:
         if model.is_finite:
             raise ChainError("radial chains require a ball model")
         bound = getattr(model, "c", 1.0)
-        radii = [float(r) for r in doc["radii"]]
+        try:
+            radii = [float(r) for r in doc["radii"]]
+        except (TypeError, ValueError):
+            raise ChainError("'radii' must be a list of numbers") from None
         if any(not 0 < r < bound for r in radii):
             raise ChainError("radii must lie strictly inside the carrier")
         return DyadicChain([RadialBall(r) for r in radii], flavor)
@@ -177,12 +190,6 @@ class ChainReport:
         return [r.to_json() for r in sorted(self.results, key=lambda r: r.name)]
 
 
-def _law_sets(chain: DyadicChain, n: int):
-    """(lhs, target) of the containment law at index n."""
-    small, big = chain.sets[n + 1], chain.sets[n]
-    return small, big
-
-
 def validate_chain(model: GyroModel, chain: DyadicChain,
                    spec: SampleSpec = SampleSpec(1000)) -> ChainReport:
     """Verify symmetry, gyration invariance, and the containment law.
@@ -197,20 +204,15 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
 
     if chain.kind == "finite":
         for n, U in enumerate(chain.sets):
-            ok = 0 in U
-            add(CheckResult(f"chain-zero[{n}]", ok, 1, 0.0 if ok else 1.0,
-                            None if ok else {"index": n}))
-            ok = U.is_symmetric(model)
-            add(CheckResult(f"chain-symmetric[{n}]", ok, len(U),
-                            0.0 if ok else 1.0,
-                            None if ok else {"index": n}))
+            add(CheckResult.exact(f"chain-zero[{n}]", 1,
+                                  None if 0 in U else {"index": n}))
+            add(CheckResult.exact(f"chain-symmetric[{n}]", len(U), None
+                                  if U.is_symmetric(model) else {"index": n}))
             w = U.gyr_invariance_witness(model)
-            add(CheckResult(f"chain-gyr-invariant[{n}]", w is None,
-                            model.n * model.n, 0.0 if w is None else 1.0,
-                            None if w is None else
-                            {"index": n, "elements": [w[0], w[1]]}))
+            add(CheckResult.exact(f"chain-gyr-invariant[{n}]", model.n ** 2,
+                                  w and {"index": n, "elements": list(w)}))
         for n in range(len(chain.sets) - 1):
-            small, big = _law_sets(chain, n)
+            small, big = chain.sets[n + 1], chain.sets[n]
             prod = small.oplus(model, small)
             if chain.flavor == "admissible":
                 prod = small.oplus(model, prod)
@@ -299,20 +301,16 @@ class DyadicFamily:
         if chain.kind == "finite":
             tail = chain.tail
             self.tail = tail
-            grid = []
-            aug = [(r, tail.oplus(model, S))
-                   for r, S in self.sorted_entries if r < ONE]
-            for x in range(model.n):
-                if x in tail:
-                    grid.append(Fraction(0))
-                    continue
-                val = ONE
-                for r, S in aug:
-                    if x in S:
-                        val = r
-                        break
-                grid.append(val)
-            self._grid = grid
+            # _num[x] = 2^depth N(x), in a dtype that holds sums of two
+            scale = 2 ** depth
+            proper = [(r, S) for r, S in self.sorted_entries if r < ONE]
+            hits = np.array([tail.oplus(model, S).members() for _, S in proper],
+                            dtype=bool).reshape(-1, model.n)
+            nums = np.array([int(r * scale) for r, _ in proper] + [scale],
+                            dtype=np.min_scalar_type(2 * scale))
+            first = np.where(hits.any(axis=0), hits.argmax(axis=0), len(proper))
+            self._num = np.where(tail.members(), 0, nums[first]).astype(nums.dtype)
+            self._grid = [Fraction(int(m), scale) for m in self._num]
         else:
             self.tail = OriginSet()
             self._values = np.array([float(r) for r, _ in self.sorted_entries])
@@ -334,9 +332,7 @@ class DyadicFamily:
     def prenorm_batch(self, xs):
         """Vectorized N over a batch (radial chains)."""
         if self.chain.kind == "finite":
-            arr = np.asarray(xs, dtype=np.int64)
-            vals = np.array([float(v) for v in self._grid])
-            return vals[arr]
+            return (self._num / 2 ** self.depth)[np.asarray(xs, dtype=np.int64)]
         r = np.atleast_1d(np.asarray(self.model.norm(xs), dtype=float))
         if self._eval_monotone:
             idx = np.searchsorted(self._radii, r, side="right")
@@ -387,11 +383,6 @@ def build_dyadic_family(model: GyroModel, chain: DyadicChain,
         err.report = report
         raise err
     return DyadicFamily(model, chain, depth)
-
-
-def prenorm_eval(family: DyadicFamily, x):
-    """N(x) = inf{m/2^n : x in V(m/2^n)}, 1 if x is in no proper V."""
-    return family.prenorm(x)
 
 
 def rho_N(family: DyadicFamily, x, y):
@@ -445,15 +436,13 @@ def coset_invariant_N_check(model: GyroModel, family: DyadicFamily,
             H = FiniteSet(model.n, indices=H)
         if H != family.tail:
             raise ValueError("H must be the tail of the family's chain")
-        for x in range(model.n):
-            for h in H.indices():
-                if family.prenorm(model.op(x, h)) != family.prenorm(x):
-                    return CheckResult(
-                        "coset-invariance", False, model.n * len(H), 1.0,
-                        {"elements": [x, h],
-                         "n_xh": str(family.prenorm(model.op(x, h))),
-                         "n_x": str(family.prenorm(x))})
-        return CheckResult("coset-invariance", True, model.n * len(H), 0.0)
+        idx, num, N = H.index_array(), family._num, family._grid
+        hit = first_hit(num[model.table[:, idx]] != num[:, None])
+        if hit:
+            x, h = hit[0], int(idx[hit[1]])
+            hit = {"elements": [x, h], "n_xh": str(N[model.table[x, h]]),
+                   "n_x": str(N[x])}
+        return CheckResult.exact("coset-invariance", model.n * len(H), hit)
     # radial tails are {0}: N(x + 0) = N(x) holds identically
     rng = np.random.default_rng(0)
     xs = model.sample(rng, 256)
@@ -478,13 +467,15 @@ def quotient_metric(model: GyroModel, family: DyadicFamily,
         raise ValueError("quotient metrics require an admissible chain")
     if partition.H != family.tail:
         raise ValueError("partition subgroup must equal the chain tail")
-    vals = {rho_N(family, x, y)
-            for x in partition.cosets[ci] for y in partition.cosets[cj]}
+    X, Y = (np.asarray(partition.cosets[c]) for c in (ci, cj))
+    T, inv, num = model.table, model.inverses, family._num
+    vals = [Fraction(int(m), 2 ** family.depth) for m in np.unique(
+        num[T[inv[X][:, None], Y]] + num[T[inv[Y], X[:, None]]])]
     if len(vals) != 1:
         raise ValueError(
             f"representative-dependent quotient distance between cosets "
             f"{ci} and {cj}: values {sorted(map(str, vals))}")
-    return vals.pop()
+    return vals[0]
 
 
 def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
@@ -497,55 +488,35 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
     counted for the verdict anyway (seeded runs are reproducible).
     """
     out = [family.monotone_check()]
-    N = family.prenorm
     if model.is_finite:
-        n = model.n
-        ok = N(0) == 0
+        # exact comparisons on the numerators 2^depth N(x)
+        n, T, num, N = model.n, model.table, family._num, family._grid
+        ok = bool(num[0] == 0)
         out.append(CheckResult("prenorm-zero", ok, 1, 0.0 if ok else 1.0))
-        bad = next((x for x in range(n) if N(model.inv(x)) != N(x)), None)
-        out.append(CheckResult("prenorm-symmetry", bad is None, n,
-                               0.0 if bad is None else 1.0,
-                               None if bad is None else {"elements": [bad]}))
-        bad = None
-        for x in range(n):
-            for y in range(n):
-                if N(model.op(x, y)) > N(x) + N(y):
-                    bad = {"elements": [x, y],
-                           "n_xy": str(N(model.op(x, y))),
-                           "bound": str(N(x) + N(y))}
-                    break
-            if bad:
-                break
-        out.append(CheckResult("prenorm-subadditivity", bad is None, n * n,
-                               0.0 if bad is None else 1.0, bad))
-        bad = None
-        for a in range(n):
-            for b in range(n):
-                gz = model.gyr(a, b, np.arange(n))
-                if any(N(int(gz[z])) != N(z) for z in range(n)):
-                    z = next(z for z in range(n) if N(int(gz[z])) != N(z))
-                    bad = {"elements": [a, b, z]}
-                    break
-            if bad:
-                break
-        out.append(CheckResult("prenorm-gyr-invariance", bad is None,
-                               n * n * n, 0.0 if bad is None else 1.0, bad))
+        hit = first_hit(num[model.inverses] != num)
+        out.append(CheckResult.exact("prenorm-symmetry", n,
+                                     hit and {"elements": hit}))
+        hit = first_hit(num[T] > num[:, None] + num)
+        if hit:
+            x, y = hit
+            hit = {"elements": hit, "n_xy": str(N[T[x, y]]),
+                   "bound": str(N[x] + N[y])}
+        out.append(CheckResult.exact("prenorm-subadditivity", n * n, hit))
+        hit = first_hit(num[model.G] != num)
+        out.append(CheckResult.exact("prenorm-gyr-invariance", n ** 3,
+                                     hit and {"elements": hit}))
         bad = None
         for k in range(family.depth + 1):
-            U = family.chain.set_at(k)
-            lo, hi = Fraction(1, 2 ** k), Fraction(2, 2 ** k)
-            for x in range(n):
-                if N(x) < lo and x not in U:
-                    bad = {"index": k, "elements": [x], "side": "lower"}
-                    break
-                if x in U and N(x) > hi:
-                    bad = {"index": k, "elements": [x], "side": "upper"}
-                    break
-            if bad:
+            U = family.chain.set_at(k).members()
+            lo = 2 ** (family.depth - k)  # the numerator of 1/2^k
+            low = (num < lo) & ~U
+            hit = first_hit(low | (U & (num > 2 * lo)))
+            if hit:
+                bad = {"index": k, "elements": hit,
+                       "side": "lower" if low[hit[0]] else "upper"}
                 break
-        out.append(CheckResult("prenorm-sandwich", bad is None,
-                               (family.depth + 1) * n,
-                               0.0 if bad is None else 1.0, bad))
+        out.append(CheckResult.exact("prenorm-sandwich",
+                                     (family.depth + 1) * n, bad))
         return out
 
     rng = np.random.default_rng(spec.seed)
@@ -606,46 +577,10 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
 
 # ------------------------------------------------------- shrink machinery
 
-def _orbit_units(model: GyroModel) -> list[FiniteSet]:
-    """Partition the carrier into closures under inverse and all gyrations.
-
-    Removing whole units keeps a set symmetric and gyration-invariant.
-    """
-    n = model.n
-    maps = [np.asarray(model.inv(np.arange(n)))]
-    for a in range(n):
-        for b in range(n):
-            g = np.asarray(model.gyr(a, b, np.arange(n)))
-            if not np.array_equal(g, np.arange(n)):
-                maps.append(g)
-    unit_of = [None] * n
-    units = []
-    for x in range(n):
-        if unit_of[x] is not None:
-            continue
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for mp in maps:
-                t = int(mp[y])
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        unit = FiniteSet(n, indices=seen)
-        for y in seen:
-            unit_of[y] = unit
-        units.append(unit)
-    return units
-
-
 def _invariant_restriction(model: GyroModel, U: FiniteSet) -> FiniteSet:
     """Largest symmetric gyration-invariant subset of U (union of units)."""
-    out = FiniteSet(U.n)
-    for unit in _orbit_units(model):
-        if unit <= U:
-            out = out | unit
-    return out
+    lab = model.orbit_labels
+    return FiniteSet.of(~np.isin(lab, lab[~U.members()]))
 
 
 def _greedy_shrink(model: GyroModel, start: FiniteSet, target: FiniteSet,
@@ -656,34 +591,19 @@ def _greedy_shrink(model: GyroModel, start: FiniteSet, target: FiniteSet,
     their symmetry/gyration unit, until the law holds.  Deterministic;
     0 is never removed.
     """
-    units = _orbit_units(model)
-    unit_of = {}
-    for unit in units:
-        for x in unit.indices():
-            unit_of[x] = unit
-    V = FiniteSet(start.n)
-    for unit in units:
-        if unit <= start:
-            V = V | unit
-    in_target = np.zeros(model.n, dtype=bool)
-    in_target[list(target.indices())] = True
+    T, lab = model.table, model.orbit_labels
+    V = _invariant_restriction(model, start).members()
+    in_target = target.members()
     while True:
-        idx = np.fromiter(V.indices(), dtype=np.int64)
-        if triple:
-            xx, yy, zz = np.meshgrid(idx, idx, idx, indexing="ij")
-            vals = model.op(xx, model.op(yy, zz))
-            bad = ~in_target[vals]
-            involved = np.concatenate(
-                [xx[bad].ravel(), yy[bad].ravel(), zz[bad].ravel()])
-        else:
-            xx, yy = np.meshgrid(idx, idx, indexing="ij")
-            vals = model.op(xx, yy)
-            bad = ~in_target[vals]
-            involved = np.concatenate([xx[bad].ravel(), yy[bad].ravel()])
+        idx = np.flatnonzero(V)
+        grid = np.meshgrid(*[idx] * (3 if triple else 2), indexing="ij")
+        vals = T[grid[0], T[grid[1], grid[2]]] if triple else T[grid[0], grid[1]]
+        bad = ~in_target[vals]
+        involved = np.concatenate([g[bad] for g in grid])
         if involved.size == 0:
-            return V
+            return FiniteSet.of(V)
         worst = int(np.max(involved[involved != 0]))
-        V = FiniteSet(V.n, V.mask & ~unit_of[worst].mask)
+        V &= lab != lab[worst]
 
 
 def shrink(model: GyroModel, U):
@@ -722,10 +642,9 @@ def admissible_hull(model: GyroModel, U, depth: int = 10):
             cur = sets[-1]
             V = _greedy_shrink(model, cur, cur, triple=True)
             if V == cur:
-                worst = max(x for x in cur.indices() if x != 0)
-                units = _orbit_units(model)
-                unit = next(u for u in units if worst in u)
-                V = FiniteSet(cur.n, cur.mask & ~unit.mask)
+                lab = model.orbit_labels
+                worst = cur.index_array()[-1]  # cur holds 0 and more
+                V = FiniteSet.of(cur.members() & (lab != lab[worst]))
             sets.append(V)
         while len(sets) < depth + 1:
             sets.append(sets[-1])
@@ -836,18 +755,15 @@ def micro_assoc_check(model: GyroModel, W, V,
     if model.is_finite:
         if not (W <= V):
             raise ValueError("W must be contained in V")
-        for a in W.indices():
-            for b in W.indices():
-                bV = FiniteSet(model.n, indices=[b]).oplus(model, V)
-                lhs = FiniteSet(model.n, indices=[a]).oplus(model, bV)
-                rhs = FiniteSet(model.n,
-                                indices=[model.op(a, b)]).oplus(model, V)
-                if lhs != rhs:
-                    diff = sorted(set(lhs.indices()) ^ set(rhs.indices()))
-                    return CheckResult(
-                        "micro-associativity", False, len(W) ** 2, 1.0,
-                        {"elements": [a, b], "difference": diff})
-        return CheckResult("micro-associativity", True, len(W) ** 2, 0.0)
+        T, w, v = model.table, W.index_array(), V.index_array()
+        lhs = member_masks(T[w[:, None, None], T[w[:, None], v]], model.n)
+        rhs = member_masks(T[T[np.ix_(w, w)][:, :, None], v], model.n)
+        hit = first_hit(np.any(lhs != rhs, axis=-1))
+        if hit:
+            i, j = hit
+            hit = {"elements": w[hit].tolist(), "difference":
+                   np.flatnonzero(lhs[i, j] ^ rhs[i, j]).tolist()}
+        return CheckResult.exact("micro-associativity", len(W) ** 2, hit)
 
     if not (isinstance(W, RadialBall) and isinstance(V, RadialBall)):
         raise ValueError("continuous micro-associativity supports radial "

@@ -1,8 +1,9 @@
 """Carrier subsets: exact finite sets and radial balls.
 
 Finite subsets are bitmask-backed and support exact elementwise set
-arithmetic A (+) B = {a + b : a in A, b in B}.  For the continuous ball
-models only radial (norm-ball) sets are supported; there
+arithmetic A (+) B = {a + b : a in A, b in B}, computed by Cayley-table
+lookups over boolean membership masks.  For the continuous ball models
+only radial (norm-ball) sets are supported; there
 
     ball(r) (+) ball(s) = ball(radial_add(r, s))
 
@@ -17,10 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GyroModel
+from .core import GyroModel, first_hit
 from .models import radial_add
 
 __all__ = ["FiniteSet", "RadialBall", "AxisSet", "OriginSet", "parse_subset"]
+
+
+def member_masks(vals, n: int) -> np.ndarray:
+    """out[..., x] is True when x occurs in vals[..., :]."""
+    vals = np.asarray(vals)
+    out = np.zeros(vals.shape[:-1] + (n,), dtype=bool)
+    np.put_along_axis(out, vals, True, axis=-1)
+    return out
 
 
 class FiniteSet:
@@ -36,10 +45,27 @@ class FiniteSet:
                 if not 0 <= i < n:
                     raise ValueError(f"index {i} out of range 0..{n - 1}")
                 m |= 1 << int(i)
+        if m < 0 or m >> n:
+            raise ValueError(f"mask {m} has bits outside 0..{n - 1}")
         self.mask = m
 
+    @staticmethod
+    def of(members) -> "FiniteSet":
+        """The set with the boolean membership mask ``members``."""
+        bits = np.packbits(np.asarray(members, dtype=bool), bitorder="little")
+        return FiniteSet(len(members), int.from_bytes(bits.tobytes(), "little"))
+
+    def members(self) -> np.ndarray:
+        """The boolean membership mask, of length n."""
+        raw = np.frombuffer(self.mask.to_bytes(-(-self.n // 8), "little"),
+                            dtype=np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
+
+    def index_array(self) -> np.ndarray:
+        return np.flatnonzero(self.members())
+
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
+        return tuple(self.index_array().tolist())
 
     def __len__(self):
         return bin(self.mask).count("1")
@@ -71,35 +97,29 @@ class FiniteSet:
         return f"FiniteSet({set(self.indices())})"
 
     def oplus(self, model: GyroModel, other: "FiniteSet") -> "FiniteSet":
-        a = np.fromiter(self.indices(), dtype=np.int64)
-        b = np.fromiter(other.indices(), dtype=np.int64)
-        if a.size == 0 or b.size == 0:
-            return FiniteSet(self.n)
-        out = model.op(a[:, None], b[None, :])
-        return FiniteSet(self.n, indices=np.unique(out))
+        out = model.table[np.ix_(self.index_array(), other.index_array())]
+        return FiniteSet.of(member_masks(out.ravel(), self.n))
 
     def inv_image(self, model: GyroModel) -> "FiniteSet":
-        idx = np.fromiter(self.indices(), dtype=np.int64)
-        if idx.size == 0:
-            return FiniteSet(self.n)
-        return FiniteSet(self.n, indices=np.unique(model.inv(idx)))
+        return FiniteSet.of(member_masks(model.inv(self.index_array()), self.n))
 
     def gyr_image(self, model: GyroModel, a: int, b: int) -> "FiniteSet":
-        idx = np.fromiter(self.indices(), dtype=np.int64)
-        if idx.size == 0:
-            return FiniteSet(self.n)
-        return FiniteSet(self.n, indices=np.unique(model.gyr(a, b, idx)))
+        return FiniteSet.of(
+            member_masks(model.gyr(a, b, self.index_array()), self.n))
 
     def is_symmetric(self, model: GyroModel) -> bool:
         return self.inv_image(model) == self
 
+    def moved_by(self, G: np.ndarray) -> np.ndarray:
+        """Where the maps z -> G[..., z] do not send the set onto itself."""
+        img = member_masks(G[..., self.index_array()], self.n)
+        return np.any(img != self.members(), axis=-1)
+
     def gyr_invariance_witness(self, model: GyroModel):
-        """None if gyr[a, b] maps the set onto itself for all a, b; else (a, b)."""
-        for a in range(model.n):
-            for b in range(model.n):
-                if self.gyr_image(model, a, b) != self:
-                    return (a, b)
-        return None
+        """None if gyr[a, b] maps the set onto itself for all a, b; else the
+        first (a, b), in row-major order, whose gyration does not."""
+        hit = first_hit(self.moved_by(model.G))
+        return None if hit is None else tuple(hit)
 
     @staticmethod
     def full(n: int) -> "FiniteSet":

@@ -1,3 +1,4 @@
+import functools
 import importlib.resources
 import itertools
 
@@ -42,13 +43,15 @@ def mobius():
 def brute_subgyrogroups(model):
     """All subgyrogroups, found with no library help beyond op/inv."""
     n = model.n
+    op = [[int(model.op(x, y)) for y in range(n)] for x in range(n)]
+    inv = [int(model.inv(x)) for x in range(n)]
     out = []
     for r in range(n):
         for extra in itertools.combinations(range(1, n), r):
             s = set((0,) + extra)
-            if any(int(model.inv(x)) not in s for x in s):
+            if any(inv[x] not in s for x in s):
                 continue
-            if any(int(model.op(x, y)) not in s for x in s for y in s):
+            if any(op[x][y] not in s for x in s for y in s):
                 continue
             out.append(tuple(sorted(s)))
     return out
@@ -65,10 +68,11 @@ def brute_gyr(model, a, b, z):
 
 def brute_l_subgyrogroups(model):
     """L-subgyrogroups via the brute-force gyration oracle."""
+    gyr = functools.cache(lambda a, h, x: brute_gyr(model, a, h, x))
     out = []
     for sub in brute_subgyrogroups(model):
         s = set(sub)
-        if all({brute_gyr(model, a, h, x) for x in s} == s
+        if all({gyr(a, h, x) for x in s} == s
                for a in range(model.n) for h in s):
             out.append(sub)
     return out

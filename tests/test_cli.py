@@ -137,6 +137,33 @@ class TestMetric:
         assert main(["metric", "--model", Z4, "--chain", str(p)]) == 2
 
 
+MALFORMED = [
+    (["metric", "--model", Z4], "chain", [1, 2]),
+    (["metric", "--model", Z4], "chain", {"sets": 5}),
+    (["metric", "--model", Z4], "chain", {"sets": [[0, "a"]]}),
+    (["metric", "--model", Z4], "chain", {"sets": [[0, 1.5]]}),
+    (["metric", "--model", Z4], "chain", {"sets": [[0, 9]]}),
+    (["intersect", "--model", Z4], "chain", {"sets": [[0, True]]}),
+    (["metric", "--model", "einstein"], "chain", {"radii": 5}),
+    (["check"], "table", {"labels": 5, "table": [[0, 1], [1, 0]]}),
+    (["check"], "table", {"labels": ["e", 1], "table": [[0, 1], [1, 0]]}),
+]
+
+
+@pytest.mark.parametrize("argv,kind,doc", MALFORMED)
+def test_malformed_input_exits_two(argv, kind, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if kind == "chain":
+        argv = argv + ["--chain", str(path)]
+    else:
+        argv = argv + ["--model", f"table:{path}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} rejected: ")
+    assert "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_microassoc_finite(self):
         rc = main(["microassoc", "--model", G8, "--vset", "0,1,4,5",
