@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -363,10 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_numbers(args):
+    """Reject numeric flags outside their domain, as input errors."""
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if args.depth < 0:
+        raise InputError(f"--depth must be >= 0, got {args.depth}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except (InputError, CarrierError, TableError, ChainError, CosetError,
             ValueError) as e:

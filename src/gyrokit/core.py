@@ -22,6 +22,11 @@ Verification is sample-based: finite models are always checked
 exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
 a replayable witness, never exceptions.
+
+Sweeps run in consecutive blocks of ``CHUNK`` rows after one full draw
+(finite cubes are generated block by block), and each check's verdicts
+are merged so that the report equals that of one pass over all rows.
+Memory is bounded by the draw plus the temporaries of one block.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ __all__ = [
     "check_axioms",
     "check_identities",
 ]
+
+# Rows per sweep block.  2^16 keeps every table of order <= 50 and every
+# continuous sweep below 2^17 rows in one block: 2^14 slowed the load of
+# order-32 and -48 tables, and 2^17 or more slowed continuous sweeps.
+CHUNK = 2 ** 16
 
 
 class CarrierError(ValueError):
@@ -202,35 +212,69 @@ class AxiomReport:
 
 
 def _triples(model: GyroModel, spec: SampleSpec):
-    """Element triples (X, Y, Z) for a sweep.
+    """Element triples (X, Y, Z) of a continuous sweep.
 
-    Finite: the full cube of index triples.  Continuous: independent
-    seeded draws, with the stress elements rotated through the three
-    slots so every stress point meets every role.
+    Independent seeded draws, with the stress elements rotated through
+    the three slots so every stress point meets every role.
     """
-    if model.is_finite:
-        n = len(model.elements())
-        idx = np.indices((n, n, n)).reshape(3, -1)
-        return idx[0], idx[1], idx[2]
     rng = np.random.default_rng(spec.seed)
     stress = model.stress_elements()
-    s = len(stress)
-    xs = model.sample(rng, spec.count)
-    ys = model.sample(rng, spec.count)
-    zs = model.sample(rng, spec.count)
-    sx = np.stack(stress)
-    sy = np.stack(stress[1:] + stress[:1]) if s > 1 else sx
-    sz = np.stack(stress[2:] + stress[:2]) if s > 2 else sx
-    x = np.concatenate([sx, xs])
-    y = np.concatenate([sy, ys])
-    z = np.concatenate([sz, zs])
-    return x, y, z
+    # one slot at a time, so that no raw draw outlives its slot's copy
+    return tuple(np.concatenate([np.stack(stress[k:] + stress[:k]),
+                                 model.sample(rng, spec.count)])
+                 for k in range(3))
+
+
+def _blocks(model: GyroModel, spec: SampleSpec):
+    """A sweep's triples in consecutive blocks of ``CHUNK`` rows: slices of
+    one ``_triples`` draw, or ranges of the row-major finite index cube.
+    The remainder joins the last block, so no block is shorter."""
+    if model.is_finite:
+        n = len(model.elements())
+        rows, n2 = n ** 3, n * n
+    else:
+        draw = _triples(model, spec)
+        rows = len(draw[0])
+    cuts = [k * CHUNK for k in range(max(rows // CHUNK, 1))] + [rows]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if model.is_finite:
+            # rows lo..hi-1 of the cube, cut from the slab of first indices
+            # they span: contiguous, unlike np.unravel_index's, and faster
+            a0 = lo // n2
+            idx = np.indices((-(-hi // n2) - a0, n, n)).reshape(3, -1)
+            idx = idx[:, lo - a0 * n2:hi - a0 * n2]
+            idx[0] += a0
+            yield tuple(idx)
+        else:
+            yield tuple(t[lo:hi] for t in draw)
+
+
+def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
+    """Run ``checks(model, x, y, z)`` on every block and merge per check.
+
+    A check keeps the witness of the first block with the largest maximum
+    (NaN first), the row one argmax over all rows picks; its verdict is
+    that maximum against ``eps``, and its samples are summed."""
+    parts = [checks(model, *xyz) for xyz in _blocks(model, spec)]
+    worst = np.argmax([[r.max_residual for r in p] for p in parts], axis=0)
+    report = AxiomReport(model=model.name)
+    for i, b in enumerate(worst):
+        r = parts[b][i]
+        report.results.append(CheckResult(
+            r.name, bool(r.max_residual <= model.eps),
+            sum(p[i].samples for p in parts), r.max_residual, r.witness))
+    return report
 
 
 def _sweep(model: GyroModel, name: str, lhs, rhs, elems: Sequence) -> CheckResult:
     """Compare two batched evaluations; extract the worst witness."""
-    res = np.asarray(model.residual(lhs, rhs), dtype=float)
-    res = np.atleast_1d(res)
+    return _verdict(model, name, model.residual(lhs, rhs), elems)
+
+
+def _verdict(model: GyroModel, name: str, res, elems: Sequence) -> CheckResult:
+    """The largest of the batched residuals ``res`` against ``eps``, with
+    the elements of its first row as the witness of a failure."""
+    res = np.atleast_1d(np.asarray(res, dtype=float))
     worst = int(np.argmax(res))
     max_res = float(res[worst])
     passed = bool(max_res <= model.eps)
@@ -268,9 +312,16 @@ def check_axioms(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomRepo
     gyration formula; ball models get the gyration-isometry check that
     makes norm balls a gyration-invariant neighborhood base.
     """
-    x, y, z = _triples(model, spec)
-    report = AxiomReport(model=model.name)
-    add = report.results.append
+    report = _swept(model, spec, _axiom_checks)
+    if model.is_finite:
+        report.results.extend(_finite_extras(model))
+    return report
+
+
+def _axiom_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
+    """The sampled axiom checks of ``check_axioms`` on one block."""
+    out = []
+    add = out.append
 
     zero = model.zero
     add(_sweep(model, "axiom-identity-left", model.op(zero, x), x, [x]))
@@ -292,22 +343,11 @@ def check_axioms(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomRepo
                model.gyr(x, y, model.op(z, x)),
                model.op(gy, model.gyr(x, y, x)), [x, y, z]))
 
-    if model.is_finite:
-        report.results.extend(_finite_extras(model))
-    else:
-        norm = getattr(model, "norm", None)
-        if norm is not None:
-            res = np.abs(norm(gy) - norm(z))
-            worst = int(np.argmax(res))
-            passed = bool(res[worst] <= model.eps)
-            witness = None
-            if not passed:
-                witness = {"elements": [model.to_payload(_pick(e, worst))
-                                        for e in (x, y, z)],
-                           "residual": float(res[worst])}
-            add(CheckResult("gyration-isometry", passed, res.size,
-                            float(res[worst]), witness))
-    return report
+    norm = getattr(model, "norm", None)
+    if not model.is_finite and norm is not None:
+        add(_verdict(model, "gyration-isometry", np.abs(norm(gy) - norm(z)),
+                     [x, y, z]))
+    return out
 
 
 def _finite_extras(model: GyroModel) -> list[CheckResult]:
@@ -340,9 +380,13 @@ def check_identities(model: GyroModel, spec: SampleSpec = SampleSpec()) -> Axiom
     * gyrotranslation                (-x+y) + gyr[-x, y](-y+z) = -x+z
     * gyrosum inversion              -(x+y) = gyr[x, y]((-y) + (-x))
     """
-    x, y, z = _triples(model, spec)
-    report = AxiomReport(model=model.name)
-    add = report.results.append
+    return _swept(model, spec, _identity_checks)
+
+
+def _identity_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
+    """The identity checks of ``check_identities`` on one block."""
+    out = []
+    add = out.append
 
     ix, iy = model.inv(x), model.inv(y)
     add(_sweep(model, "identity-left-cancellation",
@@ -359,4 +403,4 @@ def check_identities(model: GyroModel, spec: SampleSpec = SampleSpec()) -> Axiom
     add(_sweep(model, "identity-gyrosum-inversion",
                model.inv(model.op(x, y)),
                model.gyr(x, y, model.op(iy, ix)), [x, y]))
-    return report
+    return out

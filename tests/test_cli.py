@@ -164,6 +164,26 @@ def test_malformed_input_exits_two(argv, kind, doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BAD_NUMBERS = [
+    (["check", "--model", "mobius", "--eps", "-1"], "--eps"),
+    (["check", "--model", "mobius", "--eps", "nan"], "--eps"),
+    (["identities", "--model", "mobius", "--eps", "inf"], "--eps"),
+    (["check", "--model", "einstein", "--samples", "-5"], "--samples"),
+    (["hull", "--model", "einstein", "--subset", "ball:0.8",
+      "--depth", "-1"], "--depth"),
+    (["check", "--model", "einstein", "--c", "inf"], "c must be"),
+    (["check", "--model", "einstein", "--dim", "4"], "dim must be"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_NUMBERS)
+def test_bad_numeric_flag_exits_two(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_microassoc_finite(self):
         rc = main(["microassoc", "--model", G8, "--vset", "0,1,4,5",
@@ -178,6 +198,16 @@ class TestOtherCommands:
         rc = main(["microassoc", "--model", "einstein", "--vset", "ball:0.5",
                    "--wset", "ball:0.3", "--samples", "40"])
         assert rc == 0
+
+    @pytest.mark.parametrize("model", [["einstein"], ["einstein", "--dim", "2"],
+                                       ["mobius"]])
+    def test_microassoc_no_samples(self, model, tmp_path):
+        out = tmp_path / "r.jsonl"
+        rc = main(["microassoc", "--model", *model, "--vset", "ball:0.5",
+                   "--samples", "0", "--out", str(out)])
+        assert rc == 0
+        rec = next(r for r in read_jsonl(out) if r["check"] != "_config")
+        assert (rec["verdict"], rec["samples"], rec["residual"]) == ("pass", 0, 0.0)
 
     def test_hull(self, tmp_path):
         out = tmp_path / "r.jsonl"
