@@ -8,7 +8,7 @@ from .cosets import (CosetPartition, homogeneity_translate, is_L_subgyrogroup,
 from .models import (EinsteinModel, FiniteTable, MobiusModel, cyclic_table,
                      klein_table, radial_add, radial_half, radial_third,
                      table_load)
-from .prenorm import (ChainReport, DyadicChain, DyadicFamily, admissible_hull,
+from .prenorm import (DyadicChain, DyadicFamily, admissible_hull,
                       admissible_intersection,
                       admissible_quotient_inclusion_check, ball,
                       build_dyadic_family, chain_load, coset_invariant_N_check,
@@ -26,7 +26,7 @@ __all__ = [
     "is_L_subgyrogroup", "is_subgyrogroup", "left_cosets", "same_coset",
     "EinsteinModel", "FiniteTable", "MobiusModel", "cyclic_table",
     "klein_table", "radial_add", "radial_half", "radial_third", "table_load",
-    "ChainReport", "DyadicChain", "DyadicFamily", "admissible_hull",
+    "DyadicChain", "DyadicFamily", "admissible_hull",
     "admissible_intersection", "admissible_quotient_inclusion_check", "ball",
     "build_dyadic_family", "chain_load", "coset_invariant_N_check",
     "metric_d", "micro_assoc_check", "prenorm_laws_check",

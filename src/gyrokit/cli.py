@@ -94,14 +94,8 @@ class Report:
     def __init__(self):
         self.records: list[dict] = []
 
-    def add_result(self, result):
-        rec = {"check": result.name,
-               "verdict": "pass" if result.passed else "fail",
-               "samples": result.samples,
-               "residual": float(result.max_residual)}
-        if result.witness:
-            rec["witnesses"] = [result.witness]
-        self.records.append(rec)
+    def add_result(self, *results):
+        self.records.extend(r.record() for r in results)
 
     def add(self, **rec):
         self.records.append(rec)
@@ -136,23 +130,13 @@ def _config_record(args, model) -> dict:
     return rec
 
 
-def cmd_check(args) -> int:
-    # loaded unvalidated: the axiom sweep itself is the verdict (exit 1)
+def cmd_sweep(args, sweep) -> int:
+    """``check`` and ``identities``: one sampled sweep, reported."""
+    # loaded unvalidated: the sweep itself is the verdict (exit 1)
     model = _build_model(args, validate=False)
     rep = Report()
     rep.add(**_config_record(args, model))
-    for r in check_axioms(model, SampleSpec(args.samples, args.seed)).results:
-        rep.add_result(r)
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
-
-
-def cmd_identities(args) -> int:
-    model = _build_model(args, validate=False)
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    for r in check_identities(model, SampleSpec(args.samples, args.seed)).results:
-        rep.add_result(r)
+    rep.add_result(*sweep(model, SampleSpec(args.samples, args.seed)).results)
     rep.emit(args.out)
     return 1 if rep.failed else 0
 
@@ -213,8 +197,13 @@ def cmd_metric(args) -> int:
     if not args.chain:
         raise InputError("--chain is required")
     chain = _load_chain(model, args.chain)
-    vrep = validate_chain(model, chain, SampleSpec(args.samples, args.seed))
-    if not vrep.passed:
+    try:
+        family = build_dyadic_family(model, chain, args.depth,
+                                     SampleSpec(args.samples, args.seed))
+    except ChainError as err:
+        vrep = getattr(err, "report", None)
+        if vrep is None:
+            raise
         bad = vrep.failures()[0]
         print(f"invalid chain: {bad.name} witness={bad.witness}",
               file=sys.stderr)
@@ -223,14 +212,11 @@ def cmd_metric(args) -> int:
                   file=sys.stderr)
         return 2
 
-    family = build_dyadic_family(model, chain, args.depth)
     rep = Report()
     rep.add(**_config_record(args, model))
-    for r in vrep.results:
-        rep.add_result(r)
-    for r in prenorm_laws_check(model, family,
-                                SampleSpec(args.samples, args.seed)):
-        rep.add_result(r)
+    rep.add_result(*family.report.results)
+    rep.add_result(*prenorm_laws_check(model, family,
+                                       SampleSpec(args.samples, args.seed)))
 
     if model.is_finite:
         grid = family.value_grid()
@@ -281,13 +267,10 @@ def cmd_hull(args) -> int:
     chain, tail = admissible_hull(model, U, depth=args.depth)
     rep = Report()
     rep.add(**_config_record(args, model))
-    for r in validate_chain(model, chain,
-                            SampleSpec(args.samples, args.seed)).results:
-        rep.add_result(r)
-    okl, wl = is_L_subgyrogroup(model, tail)
-    rep.add(check="tail-l-subgyrogroup", verdict="pass" if okl else "fail",
-            samples=1, residual=0.0 if okl else 1.0,
-            **({"witnesses": [wl]} if wl else {}))
+    rep.add_result(*validate_chain(model, chain,
+                                   SampleSpec(args.samples, args.seed)).results)
+    _, wl = is_L_subgyrogroup(model, tail)
+    rep.add_result(CheckResult.exact("tail-l-subgyrogroup", 1, wl))
     rep.add_result(admissible_quotient_inclusion_check(model, chain, tail))
     rep.add(check="hull-chain", value=chain.to_dict())
     rep.emit(args.out)
@@ -305,9 +288,8 @@ def cmd_intersect(args) -> int:
         raise InputError(str(e)) from None
     rep = Report()
     rep.add(**_config_record(args, model))
-    for r in validate_chain(model, chain,
-                            SampleSpec(args.samples, args.seed)).results:
-        rep.add_result(r)
+    rep.add_result(*validate_chain(model, chain,
+                                   SampleSpec(args.samples, args.seed)).results)
     rep.add_result(admissible_quotient_inclusion_check(model, chain, tail))
     rep.add(check="intersection-chain", value=chain.to_dict())
     rep.emit(args.out)
@@ -332,11 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gyrokit",
                                 description="gyrogroup computation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # the sweeps are looked up when the command runs, so that a rebound
+    # cli.check_axioms (as bench/tracing.py installs) is the one called
     sub.add_parser("check", parents=[common],
-                   help="verify the gyrogroup axioms").set_defaults(fn=cmd_check)
+                   help="verify the gyrogroup axioms").set_defaults(
+        fn=lambda args: cmd_sweep(args, check_axioms))
     sub.add_parser("identities", parents=[common],
                    help="verify the classical identities").set_defaults(
-        fn=cmd_identities)
+        fn=lambda args: cmd_sweep(args, check_identities))
     sub.add_parser("cosets", parents=[common],
                    help="left-coset partition for --subset").set_defaults(
         fn=cmd_cosets)

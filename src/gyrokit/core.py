@@ -172,23 +172,26 @@ class CheckResult:
         return cls(name, witness is None, samples,
                    0.0 if witness is None else 1.0, witness)
 
-    def to_json(self) -> str:
-        rec = {
-            "check": self.name,
-            "verdict": "pass" if self.passed else "fail",
-            "samples": self.samples,
-            "residual": float(self.max_residual),
-            "witnesses": [self.witness] if self.witness else [],
-        }
-        return json.dumps(rec, sort_keys=True)
+    def record(self) -> dict:
+        """The report record; ``witnesses`` only when there is a witness."""
+        rec = {"check": self.name,
+               "verdict": "pass" if self.passed else "fail",
+               "samples": self.samples,
+               "residual": float(self.max_residual)}
+        if self.witness:
+            rec["witnesses"] = [self.witness]
+        return rec
 
 
 @dataclass
 class AxiomReport:
-    """Collected verdicts of an axiom or identity sweep."""
+    """Collected verdicts of a sweep or a chain validation.
 
-    model: str
+    ``failing_index`` is the first chain index whose containment law
+    fails (chain validations only)."""
+
     results: list[CheckResult] = field(default_factory=list)
+    failing_index: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -208,7 +211,8 @@ class AxiomReport:
         return [r for r in self.results if not r.passed]
 
     def to_json_lines(self) -> list[str]:
-        return [r.to_json() for r in sorted(self.results, key=lambda r: r.name)]
+        return [json.dumps(r.record(), sort_keys=True)
+                for r in sorted(self.results, key=lambda r: r.name)]
 
 
 def _triples(model: GyroModel, spec: SampleSpec):
@@ -257,7 +261,7 @@ def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
     that maximum against ``eps``, and its samples are summed."""
     parts = [checks(model, *xyz) for xyz in _blocks(model, spec)]
     worst = np.argmax([[r.max_residual for r in p] for p in parts], axis=0)
-    report = AxiomReport(model=model.name)
+    report = AxiomReport()
     for i, b in enumerate(worst):
         r = parts[b][i]
         report.results.append(CheckResult(
@@ -271,13 +275,17 @@ def _sweep(model: GyroModel, name: str, lhs, rhs, elems: Sequence) -> CheckResul
     return _verdict(model, name, model.residual(lhs, rhs), elems)
 
 
-def _verdict(model: GyroModel, name: str, res, elems: Sequence) -> CheckResult:
-    """The largest of the batched residuals ``res`` against ``eps``, with
-    the elements of its first row as the witness of a failure."""
+def _verdict(model: GyroModel, name: str, res, elems: Sequence,
+             tol: float | None = None) -> CheckResult:
+    """The largest of the batched residuals ``res`` against ``tol``
+    (default ``eps``), with the elements of its first row as the witness
+    of a failure.  An empty batch passes at residual 0."""
     res = np.atleast_1d(np.asarray(res, dtype=float))
+    if not res.size:
+        return CheckResult(name, True, 0, 0.0)
     worst = int(np.argmax(res))
     max_res = float(res[worst])
-    passed = bool(max_res <= model.eps)
+    passed = bool(max_res <= (model.eps if tol is None else tol))
     witness = None
     if not passed:
         witness = {

@@ -21,7 +21,6 @@ from typing import IO
 import numpy as np
 
 from .core import (
-    AxiomReport,
     CarrierError,
     GyroModel,
     SampleSpec,
@@ -148,7 +147,7 @@ class EinsteinModel(GyroModel):
     def sample(self, rng: np.random.Generator, size: int):
         # uniform in the ball of radius 0.99c
         v = rng.normal(size=(size, self.dim))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        v /= self.norm(v)[:, None]
         r = 0.99 * self.c * rng.random(size)[:, None] ** (1.0 / self.dim)
         return v * r
 
@@ -275,7 +274,8 @@ class FiniteTable(GyroModel):
         t = tbl.astype(np.min_scalar_type(n - 1))
         self.G = t[inv[t][:, :, None], t[:, t]]
 
-        self._axiom_report = None
+        # the load-time validation report (None if validate=False)
+        self.axiom_report = None
         if validate:
             report = check_axioms(self, SampleSpec())
             if not report.passed:
@@ -283,7 +283,7 @@ class FiniteTable(GyroModel):
                 raise TableError(
                     f"not a gyrogroup: {bad.name} fails with witness "
                     f"{bad.witness}")
-            self._axiom_report = report
+            self.axiom_report = report
 
     @property
     def zero(self):
@@ -319,11 +319,6 @@ class FiniteTable(GyroModel):
 
     def to_payload(self, a):
         return int(a)
-
-    @property
-    def axiom_report(self) -> AxiomReport | None:
-        """The load-time validation report (None if validate=False)."""
-        return self._axiom_report
 
     def gyr(self, a, b, z):
         a, b, z = (np.asarray(v, dtype=np.int64) for v in (a, b, z))

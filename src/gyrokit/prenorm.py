@@ -42,21 +42,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
 import numpy as np
 
-from .core import (CHUNK, ChainError, CheckResult, GyroModel, SampleSpec,
-                   first_hit)
+from .core import (CHUNK, AxiomReport, ChainError, CheckResult, GyroModel,
+                   SampleSpec, _verdict, first_hit)
 from .cosets import CosetPartition
 from .models import radial_third
 from .sets import FiniteSet, OriginSet, RadialBall, member_masks
 
 __all__ = [
     "DyadicChain",
-    "ChainReport",
     "validate_chain",
     "DyadicFamily",
     "build_dyadic_family",
@@ -173,26 +172,8 @@ def chain_load(model: GyroModel, source: str | bytes | IO | dict) -> DyadicChain
     raise ChainError("chain document needs a 'sets' or 'radii' field")
 
 
-@dataclass
-class ChainReport:
-    """Verdicts of a chain validation."""
-
-    results: list[CheckResult] = field(default_factory=list)
-    failing_index: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
-    def to_json_lines(self) -> list[str]:
-        return [r.to_json() for r in sorted(self.results, key=lambda r: r.name)]
-
-
 def validate_chain(model: GyroModel, chain: DyadicChain,
-                   spec: SampleSpec = SampleSpec(1000)) -> ChainReport:
+                   spec: SampleSpec = SampleSpec(1000)) -> AxiomReport:
     """Verify symmetry, gyration invariance, and the containment law.
 
     Finite chains are checked exhaustively, including closure of the
@@ -200,7 +181,7 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
     reduce the law to radial arithmetic; their gyration invariance is
     the model's gyration isometry, attested at sampled triples.
     """
-    report = ChainReport()
+    report = AxiomReport()
     add = report.results.append
 
     if chain.kind == "finite":
@@ -221,27 +202,23 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
             if not ok and report.failing_index is None:
                 report.failing_index = n
             escaped = sorted(set(prod.indices()) - set(big.indices()))
-            add(CheckResult(f"chain-containment[{n}]", ok, len(prod),
-                            0.0 if ok else 1.0,
-                            None if ok else {"index": n, "escaped": escaped}))
+            add(CheckResult.exact(f"chain-containment[{n}]", len(prod), None
+                                  if ok else {"index": n, "escaped": escaped}))
         tail = chain.sets[-1]
         prod = tail.oplus(model, tail)
         ok = prod <= tail
         if not ok and report.failing_index is None:
             report.failing_index = len(chain.sets) - 1
-        add(CheckResult("chain-tail-closed", ok, len(prod),
-                        0.0 if ok else 1.0,
-                        None if ok else
-                        {"escaped": sorted(set(prod.indices())
-                                           - set(tail.indices()))}))
+        escaped = sorted(set(prod.indices()) - set(tail.indices()))
+        add(CheckResult.exact("chain-tail-closed", len(prod),
+                              None if ok else {"escaped": escaped}))
         return report
 
     radii = [s.radius for s in chain.sets]
     bound = getattr(model, "c", 1.0)
     for n, r in enumerate(radii):
-        ok = 0.0 < r < bound
-        add(CheckResult(f"chain-radius[{n}]", ok, 1, 0.0 if ok else 1.0,
-                        None if ok else {"index": n, "radius": r}))
+        add(CheckResult.exact(f"chain-radius[{n}]", 1, None if 0.0 < r < bound
+                              else {"index": n, "radius": r}))
     # radii are float data: a few-ulp guard keeps exactly-tight chains
     # (e.g. radial_add(0.5, 0.5) = 0.8) valid under roundoff
     guard = 1e-12
@@ -263,14 +240,9 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
     a = model.sample(rng, spec.count)
     b = model.sample(rng, spec.count)
     z = model.sample(rng, spec.count)
-    res = np.abs(model.norm(model.gyr(a, b, z)) - model.norm(z))
-    worst = int(np.argmax(res))
-    ok = bool(res[worst] <= model.eps)
-    add(CheckResult("chain-gyr-invariant", ok, res.size, float(res[worst]),
-                    None if ok else
-                    {"elements": [model.to_payload(a[worst]),
-                                  model.to_payload(b[worst]),
-                                  model.to_payload(z[worst])]}))
+    add(_verdict(model, "chain-gyr-invariant",
+                 np.abs(model.norm(model.gyr(a, b, z)) - model.norm(z)),
+                 [a, b, z]))
     return report
 
 
@@ -283,10 +255,12 @@ class DyadicFamily:
     the norm over exactly-computed ball radii.
     """
 
-    def __init__(self, model: GyroModel, chain: DyadicChain, depth: int):
+    def __init__(self, model: GyroModel, chain: DyadicChain, depth: int,
+                 report: AxiomReport | None = None):
         self.model = model
         self.chain = chain
         self.depth = depth
+        self.report = report  # the chain's passing validation report
         self.entries: dict[Fraction, object] = {}
 
         self.entries[ONE] = chain.set_at(0)
@@ -370,20 +344,24 @@ class DyadicFamily:
 
 
 def build_dyadic_family(model: GyroModel, chain: DyadicChain,
-                        depth: int = 10) -> DyadicFamily:
-    """Validate the chain (weak law suffices) and build V(m/2^n) to depth."""
-    if depth < 1:
-        raise ChainError("depth must be at least 1")
-    if chain.kind == "radial" and depth > len(chain.sets) - 1:
-        raise ChainError(
-            f"depth {depth} exceeds chain length {len(chain.sets)}")
-    report = validate_chain(model, chain)
+                        depth: int = 10,
+                        spec: SampleSpec = SampleSpec(1000)) -> DyadicFamily:
+    """Validate the chain (weak law suffices) and build V(m/2^n) to depth.
+
+    An invalid chain raises ``ChainError`` with the failing validation
+    report as ``report``; the family keeps the passing one."""
+    report = validate_chain(model, chain, spec)
     if not report.passed:
         bad = report.failures()[0]
         err = ChainError(f"invalid chain: {bad.name} ({bad.witness})")
         err.report = report
         raise err
-    return DyadicFamily(model, chain, depth)
+    if depth < 1:
+        raise ChainError("depth must be at least 1")
+    if chain.kind == "radial" and depth > len(chain.sets) - 1:
+        raise ChainError(
+            f"depth {depth} exceeds chain length {len(chain.sets)}")
+    return DyadicFamily(model, chain, depth, report)
 
 
 def rho_N(family: DyadicFamily, x, y):
@@ -445,15 +423,10 @@ def coset_invariant_N_check(model: GyroModel, family: DyadicFamily,
                    "n_x": str(N[x])}
         return CheckResult.exact("coset-invariance", model.n * len(H), hit)
     # radial tails are {0}: N(x + 0) = N(x) holds identically
-    rng = np.random.default_rng(0)
-    xs = model.sample(rng, 256)
-    res = np.abs(family.prenorm_batch(model.op(xs, model.zero))
-                 - family.prenorm_batch(xs))
-    worst = int(np.argmax(res))
-    ok = bool(res[worst] == 0.0)
-    return CheckResult("coset-invariance", ok, res.size, float(res[worst]),
-                       None if ok else
-                       {"elements": [model.to_payload(xs[worst])]})
+    xs = model.sample(np.random.default_rng(0), 256)
+    return _verdict(model, "coset-invariance",
+                    np.abs(family.prenorm_batch(model.op(xs, model.zero))
+                           - family.prenorm_batch(xs)), [xs], tol=0.0)
 
 
 def quotient_metric(model: GyroModel, family: DyadicFamily,
@@ -528,45 +501,27 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
     ok = family.prenorm(model.zero) == 0.0
     out.append(CheckResult("prenorm-zero", ok, 1, 0.0 if ok else 1.0))
 
-    res = np.abs(family.prenorm_batch(model.inv(xs)) - nx)
-    worst = int(np.argmax(res))
-    out.append(CheckResult("prenorm-symmetry", bool(res[worst] == 0.0),
-                           res.size, float(res[worst]),
-                           None if res[worst] == 0.0 else
-                           {"elements": [model.to_payload(xs[worst])]}))
-
+    out.append(_verdict(model, "prenorm-symmetry",
+                        np.abs(family.prenorm_batch(model.inv(xs)) - nx),
+                        [xs], tol=0.0))
     ny = family.prenorm_batch(ys)
     nxy = family.prenorm_batch(model.op(xs, ys))
-    res = nxy - (nx + ny)
-    worst = int(np.argmax(res))
-    ok = bool(res[worst] <= 0.0)
-    out.append(CheckResult("prenorm-subadditivity", ok, res.size,
-                           max(0.0, float(res[worst])),
-                           None if ok else
-                           {"elements": [model.to_payload(xs[worst]),
-                                         model.to_payload(ys[worst])]}))
-
+    out.append(_verdict(model, "prenorm-subadditivity",
+                        np.maximum(nxy - (nx + ny), 0.0), [xs, ys], tol=0.0))
     zs = model.sample(rng, spec.count)
-    res = np.abs(family.prenorm_batch(model.gyr(xs, ys, zs))
-                 - family.prenorm_batch(zs))
-    worst = int(np.argmax(res))
-    ok = bool(res[worst] == 0.0)
-    out.append(CheckResult("prenorm-gyr-invariance", ok, res.size,
-                           float(res[worst]),
-                           None if ok else
-                           {"elements": [model.to_payload(xs[worst]),
-                                         model.to_payload(ys[worst]),
-                                         model.to_payload(zs[worst])]}))
+    out.append(_verdict(model, "prenorm-gyr-invariance",
+                        np.abs(family.prenorm_batch(model.gyr(xs, ys, zs))
+                               - family.prenorm_batch(zs)),
+                        [xs, ys, zs], tol=0.0))
 
     bad = None
     norms = model.norm(xs)
     for k in range(family.depth + 1):
         rk = family.chain.set_at(k).radius
         lo, hi = 1.0 / 2 ** k, 2.0 / 2 ** k
-        low_bad = (nx < lo) & (norms >= rk)
-        up_bad = (norms < rk) & (nx > hi)
-        if low_bad.any() or up_bad.any():
-            i = int(np.argmax(low_bad | up_bad))
+        hit = first_hit((nx < lo) & (norms >= rk) | (norms < rk) & (nx > hi))
+        if hit:
+            i = hit[0]
             bad = {"index": k, "elements": [model.to_payload(xs[i])],
                    "n": float(nx[i]), "norm": float(norms[i])}
             break

@@ -199,15 +199,34 @@ class TestOtherCommands:
                    "--wset", "ball:0.3", "--samples", "40"])
         assert rc == 0
 
-    @pytest.mark.parametrize("model", [["einstein"], ["einstein", "--dim", "2"],
-                                       ["mobius"]])
-    def test_microassoc_no_samples(self, model, tmp_path):
+    @pytest.mark.parametrize("argv,checks", [
+        (["microassoc", "--model", "einstein", "--vset", "ball:0.5"],
+         ["micro-associativity"]),
+        (["microassoc", "--model", "einstein", "--dim", "2", "--vset",
+          "ball:0.5"], ["micro-associativity"]),
+        (["microassoc", "--model", "mobius", "--vset", "ball:0.5"],
+         ["micro-associativity"]),
+        (["metric", "--model", "einstein"],
+         ["chain-gyr-invariant", "prenorm-symmetry", "prenorm-subadditivity",
+          "prenorm-gyr-invariance", "prenorm-sandwich"]),
+        (["hull", "--model", "einstein", "--subset", "ball:0.8"],
+         ["chain-gyr-invariant"]),
+        (["hull", "--model", "mobius", "--subset", "ball:0.8"],
+         ["chain-gyr-invariant"]),
+    ], ids=["model0", "model1", "model2",
+            "metric-einstein", "hull-einstein", "hull-mobius"])
+    def test_microassoc_no_samples(self, argv, checks, radial_chain, tmp_path):
+        # an empty sampled batch passes at residual 0, in microassoc and in
+        # the sampled chain and prenorm checks of metric and hull
         out = tmp_path / "r.jsonl"
-        rc = main(["microassoc", "--model", *model, "--vset", "ball:0.5",
-                   "--samples", "0", "--out", str(out)])
-        assert rc == 0
-        rec = next(r for r in read_jsonl(out) if r["check"] != "_config")
-        assert (rec["verdict"], rec["samples"], rec["residual"]) == ("pass", 0, 0.0)
+        if argv[0] == "metric":
+            argv = argv + ["--chain", radial_chain]
+        assert main(argv + ["--samples", "0", "--out", str(out)]) == 0
+        recs = {r["check"]: r for r in read_jsonl(out)}
+        for name in checks:
+            rec = recs[name]
+            assert (rec["verdict"], rec["samples"], rec["residual"]) == (
+                "pass", 0, 0.0)
 
     def test_hull(self, tmp_path):
         out = tmp_path / "r.jsonl"

@@ -119,7 +119,7 @@ class TestReports:
         for l in lines:
             rec = json.loads(l)
             assert rec["verdict"] == "pass"
-            assert rec["witnesses"] == []
+            assert "witnesses" not in rec
 
     def test_result_lookup(self, z4):
         report = check_axioms(z4)

@@ -68,6 +68,18 @@ class TestEinstein:
         out = e.op([1.0, 0, 0], [1.0, 0, 0])
         assert out[0] == pytest.approx(one_dim_add(1.0, 1.0, c=2.0))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sample_draw_pinned(self, dim, seed):
+        # the draw of directions normalized by np.linalg.norm, bit for bit
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(20_000, dim))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        want = v * (0.99 * 1.5 * rng.random(20_000)[:, None] ** (1.0 / dim))
+        got = EinsteinModel(dim=dim, c=1.5).sample(
+            np.random.default_rng(seed), 20_000)
+        assert np.array_equal(got, want)
+
     def test_gyration_is_plane_rotation(self, einstein):
         # gyr[u, v] for u = 0.6 e1, v = 0.6 e2 rotates span{e1, e2} and
         # fixes e3; the rotation angle is the same for every probe
