@@ -12,11 +12,11 @@ gyration is recovered from the operation through
 
     gyr[a, b](z) = -(a + b) + (a + (b + z))
 
-which every model here exposes as ``gyr_formula``.  Models with a known
-closed form (e.g. the Moebius disk) override ``gyr``, and finite tables
-read it from a gyration tensor computed once by the same formula; the
-formula remains the oracle and the two are compared by
-``check_identities``.
+which every model here exposes as ``gyr_formula``.  The models with a
+known closed form, the Einstein ball and the Moebius disk, override
+``gyr``, and finite tables read it from a gyration tensor computed once
+by the same formula; the formula remains the oracle and the two are
+compared by ``check_identities``.
 
 Verification is sample-based: finite models are always checked
 exhaustively, continuous models with a seeded pseudorandom sampler plus
@@ -27,6 +27,8 @@ Sweeps run in consecutive blocks of ``CHUNK`` rows after one full draw
 (finite cubes are generated block by block), and each check's verdicts
 are merged so that the report equals that of one pass over all rows.
 Memory is bounded by the draw plus the temporaries of one block.
+Within a block, each gyration gyr[a, b] is applied once to a stack of
+its arguments, and each sum a + b is formed once.
 """
 
 from __future__ import annotations
@@ -335,21 +337,22 @@ def _axiom_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
     add(_sweep(model, "axiom-identity-left", model.op(zero, x), x, [x]))
     add(_sweep(model, "axiom-identity-right", model.op(x, zero), x, [x]))
 
-    ix = model.inv(x)
-    zb = np.broadcast_to(np.asarray(zero), np.asarray(x).shape).copy() \
-        if not model.is_finite else np.zeros_like(x)
-    add(_sweep(model, "axiom-inverse-left", model.op(ix, x), zb, [x]))
-    add(_sweep(model, "axiom-inverse-right", model.op(x, ix), zb, [x]))
+    # -x is formed twice and x + y after the stacked gyration, so that no
+    # other block-sized array is alive while it runs: its three-row
+    # argument and output set the block's peak memory
+    add(_sweep(model, "axiom-inverse-left", model.op(model.inv(x), x), zero,
+               [x]))
+    add(_sweep(model, "axiom-inverse-right", model.op(x, model.inv(x)), zero,
+               [x]))
 
-    gy = model.gyr(x, y, z)
+    gy, gzx, gx = model.gyr(x, y, np.stack([z, model.op(z, x), x]))
+    xy = model.op(x, y)
     add(_sweep(model, "axiom-gyroassociativity",
-               model.op(x, model.op(y, z)),
-               model.op(model.op(x, y), gy), [x, y, z]))
+               model.op(x, model.op(y, z)), model.op(xy, gy), [x, y, z]))
     add(_sweep(model, "axiom-loop-property",
-               model.gyr(model.op(x, y), y, z), gy, [x, y, z]))
+               model.gyr(xy, y, z), gy, [x, y, z]))
     add(_sweep(model, "gyration-additivity",
-               model.gyr(x, y, model.op(z, x)),
-               model.op(gy, model.gyr(x, y, x)), [x, y, z]))
+               gzx, model.op(gy, gx), [x, y, z]))
 
     norm = getattr(model, "norm", None)
     if not model.is_finite and norm is not None:
@@ -397,18 +400,19 @@ def _identity_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
     add = out.append
 
     ix, iy = model.inv(x), model.inv(y)
+    xy = model.op(x, y)
+    giy, gz, gs = model.gyr(x, y, np.stack([iy, z, model.op(iy, ix)]))
     add(_sweep(model, "identity-left-cancellation",
-               model.op(ix, model.op(x, y)), y, [x, y]))
+               model.op(ix, xy), y, [x, y]))
     add(_sweep(model, "identity-right-cancellation",
                model.op(model.op(x, iy), model.gyr(x, iy, y)), x, [x, y]))
     add(_sweep(model, "identity-right-cancellation-co",
-               model.op(model.op(x, model.gyr(x, y, iy)), y), x, [x, y]))
+               model.op(model.op(x, giy), y), x, [x, y]))
     add(_sweep(model, "identity-gyration-formula",
-               model.gyr(x, y, z), model.gyr_formula(x, y, z), [x, y, z]))
+               gz, model.gyr_formula(x, y, z), [x, y, z]))
     add(_sweep(model, "identity-gyrotranslation",
                model.op(model.op(ix, y), model.gyr(ix, y, model.op(iy, z))),
                model.op(ix, z), [x, y, z]))
     add(_sweep(model, "identity-gyrosum-inversion",
-               model.inv(model.op(x, y)),
-               model.gyr(x, y, model.op(iy, ix)), [x, y]))
+               model.inv(xy), gs, [x, y]))
     return out

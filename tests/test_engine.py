@@ -188,6 +188,20 @@ def test_block_merge_picks_the_first_worst_row(cells):
     assert got.samples == len(x)
 
 
+@pytest.mark.parametrize("name", ["einstein", "mobius", "g8"])
+def test_stacked_gyr_matches_separate_calls(name, request):
+    # the sweep bodies apply gyr[x, y] once to a stack of arguments
+    model = request.getfixturevalue(name)
+    x, y, z = _triples(model, SampleSpec(5000, seed=3)) if name != "g8" \
+        else np.indices((8, 8, 8)).reshape(3, -1)
+    ws = [z, model.op(z, x), x, model.inv(y)]
+    stacked = model.gyr(x, y, np.stack(ws))
+    for got, w in zip(stacked, ws):
+        want = model.gyr(x, y, w)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_row_swapped_table_blocks_match_whole_cube(g8):
     # g8 x Z_8 (n = 64: four blocks) with two entries of row 54 swapped;
     # some identity witnesses lie beyond the first block

@@ -5,6 +5,7 @@ import pytest
 
 from gyrokit import (CarrierError, EinsteinModel, TableError, cyclic_table,
                      radial_add, radial_half, radial_third, table_load)
+from gyrokit.core import SampleSpec, _triples
 
 from conftest import bundled_table_path
 
@@ -95,6 +96,50 @@ class TestEinstein:
         angles = np.angle(gc[keep] / zc[keep])
         assert np.allclose(angles, angles[0], atol=1e-7)
         assert abs(angles[0]) > 1e-3  # a genuinely nontrivial rotation
+
+    # The axiom-loop-property witness that the three-op gyration formula
+    # failed at 1.08e-9 > 1e-9 in `check --model einstein --dim 3
+    # --samples 1000000 --seed 605021745`
+    SEED13_WITNESS = (
+        [0.41972734809390927, -0.032482015311401616, -0.8944257213955016],
+        [0.530931649259244, -0.04824743697168539, -0.8341215486572795],
+        [0.5229467095961725, 0.22204296116846434, -0.5899588998187403])
+
+    def test_loop_property_holds_at_formula_witness(self, einstein):
+        x, y, z = (np.array(t) for t in self.SEED13_WITNESS)
+        xy = einstein.op(x, y)
+        closed = einstein.residual(einstein.gyr(xy, y, z),
+                                   einstein.gyr(x, y, z))
+        assert closed <= einstein.eps
+        # the defining formula erodes past the tolerance at this triple
+        formula = einstein.residual(einstein.gyr_formula(xy, y, z),
+                                    einstein.gyr_formula(x, y, z))
+        assert formula == pytest.approx(1.08e-9, rel=0.01)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_closed_form_gyr_matches_formula(self, dim, c):
+        model = EinsteinModel(dim=dim, c=c)
+        x, y, z = _triples(model, SampleSpec(10_000, seed=dim))
+        assert len(x) == 10_000 + len(model.stress_elements())
+        res = model.residual(model.gyr(x, y, z), model.gyr_formula(x, y, z))
+        assert res.max() <= 1e-11
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_gyr_validates_every_operand(self, einstein, slot):
+        args = [einstein.sample(np.random.default_rng(6), 4) for _ in range(3)]
+        args[slot][2] = [0.0, 1.0, 0.0]
+        with pytest.raises(CarrierError):
+            einstein.gyr(*args)
+        args[slot][2] = [0.0, 0.9, 0.0]
+        einstein.gyr(*args)
+
+    def test_gamma_factored_near_boundary(self, einstein):
+        # at |u| = 1 - 2^-30, 1 - |u|^2 rounds off a relative 2^-31, while
+        # (1 - |u|)(1 + |u|) is exact
+        r = 1.0 - 2.0 ** -30
+        want = 1.0 / np.sqrt(2.0 ** -30 * (2.0 - 2.0 ** -30))
+        assert einstein.gamma([r, 0, 0]) == pytest.approx(want, rel=1e-15)
 
 
 class TestMobius:
