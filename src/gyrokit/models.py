@@ -141,8 +141,10 @@ class EinsteinModel(GyroModel):
         return self._sq(np.asarray(a, dtype=float)) is not None
 
     def _gamma(self, uu):
-        """The Lorentz factor from |u|^2, as 1/sqrt((1 - |u|/c)(1 + |u|/c)):
-        factored, 1 - |u|/c keeps its bits near the boundary."""
+        """The Lorentz factor from |u|^2, as 1/sqrt((1 - |u|/c)(1 + |u|/c)).
+        Exact where sqrt(|u|^2) gives |u| back, as on an axis; in a general
+        direction |u|^2 is already rounded, and near the boundary this is
+        no more accurate than 1/sqrt(1 - |u|^2/c^2)."""
         r = np.sqrt(uu) / self.c
         return 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
@@ -294,9 +296,9 @@ class FiniteTable(GyroModel):
     live instance is a validated model.  Labels are cosmetic.
 
     ``G[a, b, z] = gyr[a, b](z)`` is computed once by table lookups and
-    kept in the smallest unsigned dtype: n^3 bytes up to n = 256.  Public
-    methods check carrier membership; the finite algorithms index
-    ``table``, ``inverses`` and ``G`` directly.
+    kept in the smallest unsigned dtype: n^3 bytes up to n = 256, and
+    ``gyr`` returns that dtype.  Public methods check carrier membership;
+    the finite algorithms index ``table``, ``inverses`` and ``G`` directly.
     """
 
     is_finite = True
@@ -385,10 +387,11 @@ class FiniteTable(GyroModel):
         return int(a)
 
     def gyr(self, a, b, z):
-        a, b, z = (np.asarray(v, dtype=np.int64) for v in (a, b, z))
+        # gathered in G's dtype: no int64 copy of operands or result
+        a, b, z = (np.asarray(v) for v in (a, b, z))
         if not (self.contains(a) and self.contains(b) and self.contains(z)):
             raise CarrierError("index out of range")
-        out = self.G[a, b, z].astype(np.int64)
+        out = self.G[a, b, z]
         return int(out) if out.ndim == 0 else out
 
     def gyr_table(self, a: int, b: int) -> np.ndarray:

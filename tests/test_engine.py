@@ -36,6 +36,13 @@ def test_tensor_matches_brute_gyr(g8):
                 assert g8.G[a, b, z] == brute_gyr(g8, a, b, z)
 
 
+def test_gyr_gathers_in_tensor_dtype(g8):
+    # no int64 copies: a sweep block's stacked gyration stays small
+    out = g8.gyr(*np.indices((8, 8, 8)).reshape(3, -1))
+    assert out.dtype == g8.G.dtype
+    assert np.array_equal(out, g8.G.ravel())
+
+
 def test_l_subgyrogroups_match_brute_force(g8xz2):
     # g8 itself: test_cosets.py::TestLSubgyrogroups
     lsubs = set(brute_l_subgyrogroups(g8xz2))

@@ -135,8 +135,9 @@ class TestEinstein:
         einstein.gyr(*args)
 
     def test_gamma_factored_near_boundary(self, einstein):
-        # at |u| = 1 - 2^-30, 1 - |u|^2 rounds off a relative 2^-31, while
-        # (1 - |u|)(1 + |u|) is exact
+        # on an axis at |u| = 1 - 2^-30, 1 - |u|^2 rounds off a relative
+        # 2^-31, while (1 - |u|)(1 + |u|) is exact; off the axes |u|^2 is
+        # itself rounded and the factored form gains nothing
         r = 1.0 - 2.0 ** -30
         want = 1.0 / np.sqrt(2.0 ** -30 * (2.0 - 2.0 ** -30))
         assert einstein.gamma([r, 0, 0]) == pytest.approx(want, rel=1e-15)

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Residuals of the Einstein axiom and identity checks near the boundary.
 
-    python3 tools/boundary_residuals.py [--dim D] [--c C] [--samples N] [--seed S]
+    python3 tools/boundary_residuals.py
 
-For each boundary distance delta = 1 - |x|/c from 1e-2 to 1e-8, draws
-``--samples`` triples with x uniform on the sphere of radius c (1 - delta)
+On the Einstein ball of dimension ``DIM`` and radius ``C``, for each
+boundary distance delta = 1 - |x|/c from 1e-2 to 1e-8, draws ``SAMPLES``
+triples (seed ``SEED``) with x uniform on the sphere of radius c (1 - delta)
 and y, z from the model's sampler (uniform in the ball of radius 0.99c),
 runs the block bodies of ``check_axioms`` and ``check_identities`` on
 them at eps 0, and prints each check's largest residual.  A ``*`` marks
@@ -16,7 +17,6 @@ This is a reported sweep, not a test: nothing here gates anything.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -27,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gyrokit.core import _axiom_checks, _identity_checks
 from gyrokit.models import EinsteinModel
 
+DIM, C, SAMPLES, SEED = 3, 1.0, 10_000, 0
 DISTANCES = [10.0 ** -k for k in range(2, 9)]
 TOL = 1e-9
 
@@ -42,19 +43,12 @@ def residuals(model: EinsteinModel, delta: float, samples: int,
     return {r.name: r.max_residual for r in results}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--dim", type=int, default=3, choices=(2, 3))
-    ap.add_argument("--c", type=float, default=1.0)
-    ap.add_argument("--samples", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-
-    model = EinsteinModel(dim=args.dim, c=args.c, eps=0.0)
-    cols = [residuals(model, d, args.samples, args.seed) for d in DISTANCES]
+def main() -> int:
+    model = EinsteinModel(dim=DIM, c=C, eps=0.0)
+    cols = [residuals(model, d, SAMPLES, SEED) for d in DISTANCES]
     names = sorted(cols[0])
     width = max(map(len, names)) + 2
-    print(f"{model.name}, {args.samples} samples, seed {args.seed}; "
+    print(f"{model.name}, {SAMPLES} samples, seed {SEED}; "
           f"rows: check, columns: 1 - |x|/c; * marks > {TOL:g}")
     print("".ljust(width) + "".join(f"{d:>11.0e}" for d in DISTANCES))
     for name in names + ["worst"]:
