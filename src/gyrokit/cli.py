@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``check``, ``identities``, ``cosets``, ``metric``,
-``microassoc``, ``hull``, ``intersect``.  Reports are JSON-lines (one
-check per line, sorted by check name) written to ``--out`` and echoed
-as a human-readable table on stdout.
+``microassoc``, ``hull``, ``intersect``.  Each command returns an
+``AxiomReport``; ``main`` adds the ``_config`` record, echoes the report
+as a human-readable table on stdout, and writes its
+``AxiomReport.to_json_lines()`` (one record per line, sorted; check
+records in name order) to ``--out``.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 Runs with identical seed and configuration produce byte-identical
@@ -13,15 +15,15 @@ reports on finite models.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import (CarrierError, ChainError, CheckResult, CosetError,
-                   SampleSpec, TableError, check_axioms, check_identities)
+from .core import (AxiomReport, CarrierError, ChainError, CheckResult,
+                   CosetError, SampleSpec, TableError, check_axioms,
+                   check_identities)
 from .cosets import homogeneity_translate, is_L_subgyrogroup, is_subgyrogroup, left_cosets
 from .models import EinsteinModel, MobiusModel, table_load
 from .prenorm import (admissible_hull, admissible_intersection,
@@ -88,37 +90,7 @@ def _parse_pairs(model, text: str):
     return pairs
 
 
-class Report:
-    """Accumulates check records and writes deterministic JSON lines."""
-
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def add_result(self, *results):
-        self.records.extend(r.record() for r in results)
-
-    def add(self, **rec):
-        self.records.append(rec)
-
-    @property
-    def failed(self) -> bool:
-        return any(r.get("verdict") == "fail" for r in self.records)
-
-    def emit(self, out_path: str | None):
-        lines = sorted(json.dumps(r, sort_keys=True, default=str)
-                       for r in self.records)
-        for r in sorted(self.records, key=lambda r: r["check"]):
-            if "verdict" in r:
-                mark = "pass" if r["verdict"] == "pass" else "FAIL"
-                extra = f" residual={r['residual']:.3g}" if "residual" in r else ""
-                print(f"[{mark}] {r['check']}{extra}")
-            elif "value" in r:
-                print(f"       {r['check']} = {r['value']}")
-        if out_path:
-            Path(out_path).write_text("\n".join(lines) + "\n")
-
-
-def _config_record(args, model) -> dict:
+def _config_record(args) -> dict:
     rec = {"check": "_config", "model": args.model, "seed": args.seed,
            "samples": args.samples, "eps": args.eps, "depth": args.depth}
     if getattr(args, "subset", None):
@@ -130,38 +102,34 @@ def _config_record(args, model) -> dict:
     return rec
 
 
-def cmd_sweep(args, sweep) -> int:
-    """``check`` and ``identities``: one sampled sweep, reported."""
+def cmd_sweep(args, sweep) -> AxiomReport:
+    """``check`` and ``identities``: one sampled sweep."""
     # loaded unvalidated: the sweep itself is the verdict (exit 1)
-    model = _build_model(args, validate=False)
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    rep.add_result(*sweep(model, SampleSpec(args.samples, args.seed)).results)
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+    return sweep(_build_model(args, validate=False),
+                 SampleSpec(args.samples, args.seed))
 
 
-def cmd_cosets(args) -> int:
+def cmd_cosets(args) -> AxiomReport:
     model = _build_model(args)
     if not model.is_finite:
         raise InputError("cosets are materialized for finite models only")
     if not args.subset:
         raise InputError("--subset is required")
     H = parse_subset(model, args.subset)
-    rep = Report()
-    rep.add(**_config_record(args, model))
-
     ok, witness = is_subgyrogroup(model, H)
-    rep.add_result(CheckResult.exact("subgyrogroup", len(H) ** 2, witness))
+    rep = AxiomReport(
+        [CheckResult.exact("subgyrogroup", len(H) ** 2, witness)])
     if ok:
         okl, wl = is_L_subgyrogroup(model, H)
-        rep.add_result(CheckResult.exact("l-subgyrogroup", model.n * len(H), wl))
+        rep.results.append(
+            CheckResult.exact("l-subgyrogroup", model.n * len(H), wl))
     else:
         okl = False
     if okl:
         part = left_cosets(model, H)
-        rep.add(check="partition", verdict="pass", samples=model.n,
-                residual=0.0, cosets=[list(c) for c in part.cosets])
+        rep.records.append({"check": "partition", "verdict": "pass",
+                            "samples": model.n, "residual": 0.0,
+                            "cosets": [list(c) for c in part.cosets]})
         # at[a, x] is the coset of a + x; h_a is read off each coset's
         # least member, and is split where another member disagrees
         at = part.index_of[model.table]
@@ -176,10 +144,9 @@ def cmd_cosets(args) -> int:
             for i in range(len(part.cosets)):
                 homogeneity_translate(part, a, i)  # raises where h_a is split
             bad = {"elements": [a], "images": img[a].tolist()}
-        rep.add_result(CheckResult.exact(
+        rep.results.append(CheckResult.exact(
             "homogeneity-bijection", model.n * len(part.cosets), bad))
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+    return rep
 
 
 def _load_chain(model, path: str):
@@ -192,41 +159,26 @@ def _load_chain(model, path: str):
         raise InputError(f"chain rejected: {e}") from None
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> AxiomReport:
     model = _build_model(args)
     if not args.chain:
         raise InputError("--chain is required")
     chain = _load_chain(model, args.chain)
-    try:
-        family = build_dyadic_family(model, chain, args.depth,
-                                     SampleSpec(args.samples, args.seed))
-    except ChainError as err:
-        vrep = getattr(err, "report", None)
-        if vrep is None:
-            raise
-        bad = vrep.failures()[0]
-        print(f"invalid chain: {bad.name} witness={bad.witness}",
-              file=sys.stderr)
-        if vrep.failing_index is not None:
-            print(f"containment fails at index {vrep.failing_index}",
-                  file=sys.stderr)
-        return 2
-
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    rep.add_result(*family.report.results)
-    rep.add_result(*prenorm_laws_check(model, family,
-                                       SampleSpec(args.samples, args.seed)))
+    spec = SampleSpec(args.samples, args.seed)
+    family = build_dyadic_family(model, chain, args.depth, spec)
+    rep = AxiomReport(family.report.results
+                      + prenorm_laws_check(model, family, spec))
 
     if model.is_finite:
         grid = family.value_grid()
-        rep.add(check="prenorm-values", value={str(i): str(v)
-                                               for i, v in enumerate(grid)})
+        rep.records.append({"check": "prenorm-values", "value": {
+            str(i): str(v) for i, v in enumerate(grid)}})
     if args.pairs:
         for i, (x, y) in enumerate(_parse_pairs(model, args.pairs)):
-            val = rho_N(family, x, y)
-            rep.add(check=f"distance[{i}]", value=str(val),
-                    x=str(model.to_payload(x)), y=str(model.to_payload(y)))
+            rep.records.append({"check": f"distance[{i}]",
+                                "value": str(rho_N(family, x, y)),
+                                "x": str(model.to_payload(x)),
+                                "y": str(model.to_payload(y))})
 
     if args.quotient:
         if not args.subset:
@@ -235,49 +187,40 @@ def cmd_metric(args) -> int:
             raise InputError("quotient tables exist for finite models only")
         H = parse_subset(model, args.subset)
         part = left_cosets(model, H)
-        rep.add_result(coset_invariant_N_check(model, family, H))
+        rep.results.append(coset_invariant_N_check(model, family, H))
         k = len(part.cosets)
         matrix = [[str(quotient_metric(model, family, part, i, j))
                    for j in range(k)] for i in range(k)]
-        rep.add(check="quotient-distances", value=matrix,
-                cosets=[list(c) for c in part.cosets])
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+        rep.records.append({"check": "quotient-distances", "value": matrix,
+                            "cosets": [list(c) for c in part.cosets]})
+    return rep
 
 
-def cmd_microassoc(args) -> int:
+def cmd_microassoc(args) -> AxiomReport:
     model = _build_model(args)
     if not args.vset:
         raise InputError("--vset is required")
     V = parse_subset(model, args.vset)
     W = parse_subset(model, args.wset) if args.wset else V
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    rep.add_result(micro_assoc_check(model, W, V,
-                                     SampleSpec(args.samples, args.seed)))
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+    return AxiomReport([micro_assoc_check(
+        model, W, V, SampleSpec(args.samples, args.seed))])
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> AxiomReport:
     model = _build_model(args)
     if not args.subset:
         raise InputError("--subset is required")
     U = parse_subset(model, args.subset)
     chain, tail = admissible_hull(model, U, depth=args.depth)
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    rep.add_result(*validate_chain(model, chain,
-                                   SampleSpec(args.samples, args.seed)).results)
+    rep = validate_chain(model, chain, SampleSpec(args.samples, args.seed))
     _, wl = is_L_subgyrogroup(model, tail)
-    rep.add_result(CheckResult.exact("tail-l-subgyrogroup", 1, wl))
-    rep.add_result(admissible_quotient_inclusion_check(model, chain, tail))
-    rep.add(check="hull-chain", value=chain.to_dict())
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+    rep.results += [CheckResult.exact("tail-l-subgyrogroup", 1, wl),
+                    admissible_quotient_inclusion_check(model, chain, tail)]
+    rep.records.append({"check": "hull-chain", "value": chain.to_dict()})
+    return rep
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args) -> AxiomReport:
     model = _build_model(args)
     if not args.chain_files:
         raise InputError("at least one --chain is required")
@@ -286,14 +229,11 @@ def cmd_intersect(args) -> int:
         chain, tail = admissible_intersection(model, chains)
     except ChainError as e:
         raise InputError(str(e)) from None
-    rep = Report()
-    rep.add(**_config_record(args, model))
-    rep.add_result(*validate_chain(model, chain,
-                                   SampleSpec(args.samples, args.seed)).results)
-    rep.add_result(admissible_quotient_inclusion_check(model, chain, tail))
-    rep.add(check="intersection-chain", value=chain.to_dict())
-    rep.emit(args.out)
-    return 1 if rep.failed else 0
+    rep = validate_chain(model, chain, SampleSpec(args.samples, args.seed))
+    rep.results.append(admissible_quotient_inclusion_check(model, chain, tail))
+    rep.records.append({"check": "intersection-chain",
+                        "value": chain.to_dict()})
+    return rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +304,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        return args.fn(args)
+        report = args.fn(args)
     except (InputError, CarrierError, TableError, ChainError, CosetError,
             ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        vrep = getattr(e, "report", None)  # set on an invalid --chain
+        if vrep is None:
+            print(f"error: {e}", file=sys.stderr)
+        else:
+            bad = vrep.failures()[0]
+            print(f"invalid chain: {bad.name} witness={bad.witness}",
+                  file=sys.stderr)
+            if vrep.failing_index is not None:
+                print(f"containment fails at index {vrep.failing_index}",
+                      file=sys.stderr)
         return 2
+    report.records.append(_config_record(args))
+    for r in sorted(report.all_records(), key=lambda r: r["check"]):
+        if "verdict" in r:
+            mark = "pass" if r["verdict"] == "pass" else "FAIL"
+            print(f"[{mark}] {r['check']} residual={r['residual']:.3g}")
+        elif "value" in r:
+            print(f"       {r['check']} = {r['value']}")
+    if args.out:
+        Path(args.out).write_text("\n".join(report.to_json_lines()) + "\n")
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

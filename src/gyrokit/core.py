@@ -123,22 +123,9 @@ class GyroModel(ABC):
         ab = self.op(a, b)
         return self.op(self.inv(ab), self.op(a, self.op(b, z)))
 
-    def equal(self, a, b):
-        return self.residual(a, b) <= self.eps
-
-    def validate(self, a):
-        """Raise ``CarrierError`` if a is outside the carrier."""
-        if not self.contains(a):
-            raise CarrierError(f"element {a!r} outside carrier of {self.name}")
-        return a
-
     def stress_elements(self) -> list:
         """Deterministic hard-case elements mixed into every sample sweep."""
         return [self.zero]
-
-    def elements(self):
-        """All elements (finite models only)."""
-        return None
 
     def to_payload(self, a) -> Any:
         """JSON-friendly form of one element, for witnesses."""
@@ -187,12 +174,16 @@ class CheckResult:
 
 @dataclass
 class AxiomReport:
-    """Collected verdicts of a sweep or a chain validation.
+    """Collected verdicts of a sweep, a chain validation or a command.
 
+    ``records`` are the JSON-ready records that have no ``CheckResult``:
+    the command configuration, values, and the coset listing that goes
+    with a passing partition; they never decide ``passed``.
     ``failing_index`` is the first chain index whose containment law
     fails (chain validations only)."""
 
     results: list[CheckResult] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
     failing_index: int | None = None
 
     @property
@@ -212,9 +203,16 @@ class AxiomReport:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]
 
+    def all_records(self) -> list[dict]:
+        """The extra records, then one record per check result."""
+        return self.records + [r.record() for r in self.results]
+
     def to_json_lines(self) -> list[str]:
-        return [json.dumps(r.record(), sort_keys=True)
-                for r in sorted(self.results, key=lambda r: r.name)]
+        """Every record as one JSON line with sorted keys, the lines sorted:
+        the one serializer of reports.  Check records come out in name
+        order."""
+        return sorted(json.dumps(r, sort_keys=True)
+                      for r in self.all_records())
 
 
 def _triples(model: GyroModel, spec: SampleSpec):
@@ -236,7 +234,7 @@ def _blocks(model: GyroModel, spec: SampleSpec):
     one ``_triples`` draw, or ranges of the row-major finite index cube.
     The remainder joins the last block, so no block is shorter."""
     if model.is_finite:
-        n = len(model.elements())
+        n = model.n
         rows, n2 = n ** 3, n * n
     else:
         draw = _triples(model, spec)
@@ -369,11 +367,13 @@ def _finite_extras(model: GyroModel) -> list[CheckResult]:
     the gyration formula; the two agree exactly when gyroassociativity
     holds with a unique solution.
     """
-    n, T, G = model.n, model.table, model.G
+    n, G = model.n, model.G
+    T = model.table.astype(G.dtype)  # n^3 gathers stay in G's small dtype
     ab = first_hit(np.sort(G, axis=2) != np.arange(n))
     # left[r, v]: the least w with r + w = v, n when there is none
-    left = np.full((n, n), n)
-    np.minimum.at(left, (np.arange(n)[:, None], T), np.arange(n))
+    left = np.full((n, n), n, dtype=np.min_scalar_type(n))
+    np.minimum.at(left, (np.arange(n)[:, None], T),
+                  np.arange(n, dtype=left.dtype))
     abz = first_hit(left[T[:, :, None], T[:, T]] != G)
     return [CheckResult.exact("gyration-bijectivity", n * n,
                               ab and {"elements": ab[:2], "residual": 1.0}),

@@ -355,9 +355,6 @@ class FiniteTable(GyroModel):
     def zero(self):
         return 0
 
-    def elements(self):
-        return np.arange(self.n)
-
     def contains(self, a) -> bool:
         a = np.asarray(a)
         return bool(np.all((a >= 0) & (a < self.n)))

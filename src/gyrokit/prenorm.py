@@ -288,9 +288,13 @@ class DyadicFamily:
             self._grid = [Fraction(int(m), scale) for m in self._num]
         else:
             self.tail = OriginSet()
-            self._values = np.array([float(r) for r, _ in self.sorted_entries])
             self._radii = np.array([s.radius for _, s in self.sorted_entries])
-            self._eval_monotone = bool(np.all(np.diff(self._radii) >= 0))
+            # N(x) is the least value whose ball holds x.  Values ascend,
+            # so that ball is where the radii's running maximum first
+            # exceeds |x|, whatever the radii's order; past it N is 1
+            self._cover = np.maximum.accumulate(self._radii)
+            self._values = np.array([float(r) for r, _ in self.sorted_entries]
+                                    + [1.0])
 
     def value_grid(self) -> list[Fraction]:
         """Exact N per element (finite models)."""
@@ -309,16 +313,7 @@ class DyadicFamily:
         if self.chain.kind == "finite":
             return (self._num / 2 ** self.depth)[np.asarray(xs, dtype=np.int64)]
         r = np.atleast_1d(np.asarray(self.model.norm(xs), dtype=float))
-        if self._eval_monotone:
-            idx = np.searchsorted(self._radii, r, side="right")
-            out = np.where(idx < self._values.size,
-                           self._values[np.minimum(idx, self._values.size - 1)],
-                           1.0)
-        else:
-            inside = r[:, None] < self._radii[None, :]
-            masked = np.where(inside, self._values[None, :], np.inf)
-            out = np.min(masked, axis=1)
-            out = np.where(np.isfinite(out), out, 1.0)
+        out = self._values[np.searchsorted(self._cover, r, side="right")]
         out = np.where(r == 0.0, 0.0, out)
         return float(out[0]) if np.asarray(xs).ndim <= 1 and out.size == 1 else out
 
@@ -745,12 +740,9 @@ def micro_assoc_check(model: GyroModel, W, V,
         back2 = model.norm(model.op(model.inv(b), model.op(model.inv(a), q)))
         defect[lo:lo + step] = np.maximum(np.abs(back - V.radius).max(axis=1),
                                           np.abs(back2 - V.radius).max(axis=1))
-    # the first pair attaining the maximum is the witness
-    i = int(np.argmax(defect)) if spec.count else None
-    worst = 0.0 if i is None else float(defect[i])
-    passed = worst < 1e-6
-    witness = None if passed else {
-        "elements": [model.to_payload(azs[i]), model.to_payload(bzs[i])],
-        "residual": worst}
-    return CheckResult("micro-associativity", passed,
-                       spec.count * directions, worst, witness)
+    # the tolerance is the strict defect < 1e-6: for a float64 defect,
+    # <= the next double below 1e-6 is the same test
+    out = _verdict(model, "micro-associativity", defect, [azs, bzs],
+                   tol=np.nextafter(1e-6, 0))
+    out.samples = spec.count * directions
+    return out

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from gyrokit import (EinsteinModel, SampleSpec, check_axioms,
+                     check_identities)
 from gyrokit.cli import main
 
-from conftest import bundled_table_path
+from conftest import bundled_table_path, load_bundled
 
 Z4 = f"table:{bundled_table_path('z4')}"
 G8 = f"table:{bundled_table_path('g8')}"
@@ -247,6 +249,21 @@ class TestOtherCommands:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("command, sweep", [
+        ("check", check_axioms), ("identities", check_identities)])
+    @pytest.mark.parametrize("argv, model", [
+        (["--model", G8], lambda: load_bundled("g8")),
+        (["--model", "einstein", "--dim", "3"], lambda: EinsteinModel(dim=3)),
+    ], ids=["g8", "einstein-d3"])
+    def test_one_serializer(self, command, sweep, argv, model, tmp_path):
+        """The CLI's --out lines are the library report's JSON lines."""
+        out = tmp_path / "r.jsonl"
+        main([command, *argv, "--samples", "200", "--seed", "7",
+              "--out", str(out)])
+        lines = [line for line in out.read_text().splitlines()
+                 if json.loads(line)["check"] != "_config"]
+        assert lines == sweep(model(), SampleSpec(200, 7)).to_json_lines()
+
     def test_byte_identical_reports(self, adm_chain, tmp_path):
         outs = []
         for i in (1, 2):

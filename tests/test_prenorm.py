@@ -11,7 +11,7 @@ from gyrokit import (ChainError, DyadicChain, FiniteSet, OriginSet, RadialBall,
                      micro_assoc_check, prenorm_laws_check, quotient_ball,
                      quotient_metric, radial_add, rho_N, shrink,
                      validate_chain)
-from gyrokit.prenorm import rho_ball
+from gyrokit.prenorm import DyadicFamily, rho_ball
 
 F = Fraction
 
@@ -558,6 +558,27 @@ class TestRadialObjectAgreement:
         for p in pts:
             assert fam.prenorm(p) == pytest.approx(brute_radial_N(p),
                                                    abs=1e-12)
+
+
+    def test_prenorm_of_non_monotone_family(self, einstein):
+        # unvalidated radii 0.3, 0.8, 0.5: V(1/2) and V(3/4) are larger
+        # balls than V(1), so the first ball holding x is not the one at
+        # the first radius above |x|
+        chain = DyadicChain([RadialBall(r) for r in (0.3, 0.8, 0.5)])
+        fam = DyadicFamily(einstein, chain, 2)
+        assert not fam.monotone_check().passed
+
+        def brute_radial_N(nrm):
+            if nrm == 0.0:
+                return 0.0
+            return min([float(r) for r, s in fam.entries.items()
+                        if nrm < s.radius], default=1.0)
+
+        pts = einstein.sample(np.random.default_rng(5), 20_000)
+        edges = [s.radius for s in fam.entries.values()] + [0.0, 0.95]
+        pts = np.concatenate([pts, [[r, 0.0, 0.0] for r in edges]])
+        want = [brute_radial_N(float(einstein.norm(p))) for p in pts]
+        assert fam.prenorm_batch(pts).tolist() == want
 
 
 class TestChainIO:
