@@ -65,6 +65,12 @@ CASES = {
     "metric-g8-hull-quotient": ["metric", *table("g8"), *chain("g8-hull"),
                                 "--pairs", "3:6", "--subset", "0",
                                 "--quotient", "--depth", "6"],
+    "metric-g8-hull-depth1": ["metric", *table("g8"), *chain("g8-hull"),
+                              "--pairs", "3:6,1:2", "--subset", "0",
+                              "--quotient", "--depth", "1"],
+    "metric-g8-hull-depth10": ["metric", *table("g8"), *chain("g8-hull"),
+                               "--pairs", "3:6,1:2", "--subset", "0",
+                               "--quotient", "--depth", "10"],
     "metric-g8-asymmetric": ["metric", *table("g8"), *chain("g8-asym")],
     "metric-g8-containment": ["metric", *table("g8"), *chain("g8-containment")],
     "hull-z4": ["hull", *table("z4"), "--subset", "0,1,2,3", "--depth", "4"],
