@@ -188,9 +188,8 @@ def cmd_metric(args) -> AxiomReport:
         H = parse_subset(model, args.subset)
         part = left_cosets(model, H)
         rep.results.append(coset_invariant_N_check(model, family, H))
-        k = len(part.cosets)
-        matrix = [[str(quotient_metric(model, family, part, i, j))
-                   for j in range(k)] for i in range(k)]
+        matrix = [list(map(str, row))
+                  for row in quotient_metric(model, family, part)]
         rep.records.append({"check": "quotient-distances", "value": matrix,
                             "cosets": [list(c) for c in part.cosets]})
     return rep
@@ -212,9 +211,11 @@ def cmd_hull(args) -> AxiomReport:
         raise InputError("--subset is required")
     U = parse_subset(model, args.subset)
     chain, tail = admissible_hull(model, U, depth=args.depth)
-    rep = validate_chain(model, chain, SampleSpec(args.samples, args.seed))
-    _, wl = is_L_subgyrogroup(model, tail)
-    rep.results += [CheckResult.exact("tail-l-subgyrogroup", 1, wl),
+    spec = SampleSpec(args.samples, args.seed)
+    rep = validate_chain(model, chain, spec)
+    _, wl = is_L_subgyrogroup(model, tail, spec)
+    rep.results += [CheckResult.exact("tail-l-subgyrogroup",
+                                      1 if model.is_finite else args.samples, wl),
                     admissible_quotient_inclusion_check(model, chain, tail)]
     rep.records.append({"check": "hull-chain", "value": chain.to_dict()})
     return rep

@@ -215,6 +215,20 @@ class AxiomReport:
                       for r in self.all_records())
 
 
+def read_json(source, error: type[ValueError], **loads_kwargs):
+    """The document of a JSON source: a dict as it is, or text, bytes or a
+    readable parsed, with malformed JSON raised as ``error``."""
+    if isinstance(source, dict):
+        return source
+    text = source.read() if hasattr(source, "read") else source
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        return json.loads(text, **loads_kwargs)
+    except json.JSONDecodeError as e:
+        raise error(f"invalid JSON: {e}") from None
+
+
 def _triples(model: GyroModel, spec: SampleSpec):
     """Element triples (X, Y, Z) of a continuous sweep.
 

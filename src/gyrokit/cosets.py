@@ -65,15 +65,15 @@ def is_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
     ys = H.sample(model, rng, spec.count)
     if not H.contains(model, model.zero):
         return False, {"kind": "missing-identity"}
-    for x in xs:
-        if not H.contains(model, model.inv(x)):
-            return False, {"kind": "inverse", "elements": [model.to_payload(x)]}
+    hit = first_hit(~H.contains_rows(model, model.inv(xs)))
+    if hit:
+        return False, {"kind": "inverse",
+                       "elements": [model.to_payload(xs[hit[0]])]}
     prods = model.op(xs, ys)
-    for x, y, p in zip(xs, ys, prods):
-        if not H.contains(model, p):
-            return False, {"kind": "closure",
-                           "elements": [model.to_payload(x), model.to_payload(y)],
-                           "product": model.to_payload(p)}
+    hit = first_hit(~H.contains_rows(model, prods))
+    if hit:
+        x, y, p = (model.to_payload(t[hit[0]]) for t in (xs, ys, prods))
+        return False, {"kind": "closure", "elements": [x, y], "product": p}
     return True, None
 
 
@@ -96,12 +96,10 @@ def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
     hs = H.sample(model, rng, spec.count)
     xs = H.sample(model, rng, spec.count)
     img = model.gyr(azs, hs, xs)
-    for a, h, x, g in zip(azs, hs, xs, img):
-        if not H.contains(model, g):
-            return False, {"kind": "gyration",
-                           "elements": [model.to_payload(a), model.to_payload(h),
-                                        model.to_payload(x)],
-                           "image": model.to_payload(g)}
+    hit = first_hit(~H.contains_rows(model, img))
+    if hit:
+        *elems, g = (model.to_payload(t[hit[0]]) for t in (azs, hs, xs, img))
+        return False, {"kind": "gyration", "elements": elems, "image": g}
     return True, None
 
 
@@ -126,9 +124,6 @@ class CosetPartition:
         """pi(a): the index of the coset containing a."""
         out = self.index_of[np.asarray(a, dtype=np.int64)]
         return int(out) if out.ndim == 0 else out
-
-    def coset_set(self, i: int) -> FiniteSet:
-        return FiniteSet(self.model.n, indices=self.cosets[i])
 
 
 def left_cosets(model: FiniteTable, H) -> CosetPartition:

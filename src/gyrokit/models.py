@@ -14,7 +14,6 @@ models; it drives the exact ball-set arithmetic of the prenorm module.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import IO
 
@@ -26,6 +25,7 @@ from .core import (
     SampleSpec,
     TableError,
     check_axioms,
+    read_json,
 )
 
 __all__ = [
@@ -239,6 +239,7 @@ class MobiusModel(GyroModel):
     """
 
     is_finite = False
+    c = 1.0  # the disk's radius, as the Einstein ball's speed bound
 
     def __init__(self, eps: float = 1e-9):
         self.eps = float(eps)
@@ -433,19 +434,7 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     ``validate=False`` skips the axiom gate so a verification sweep can
     report the failures itself.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            text = source
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        try:
-            doc = json.loads(text, parse_constant=_reject_nonfinite)
-        except json.JSONDecodeError as e:
-            raise TableError(f"invalid JSON: {e}") from None
+    doc = read_json(source, TableError, parse_constant=_reject_nonfinite)
     if not isinstance(doc, dict) or "table" not in doc:
         raise TableError("document must be an object with a 'table' field")
     table = doc["table"]

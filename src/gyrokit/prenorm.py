@@ -8,17 +8,17 @@ admissible flavor strengthens this to U_{n+1} (+) (U_{n+1} (+) U_{n+1})
     V(1) = U_0,   V(1/2^n) = U_n,   V(2m/2^n) = V(m/2^(n-1)),
     V((2m+1)/2^n) = U_n (+) V(m/2^(n-1)),   V(m/2^n) = G for m > 2^n.
 
-The prenorm is the Birkhoff-Kakutani infimum N(x) = inf{r : x in V(r)},
-capped at 1 for points in no proper V.  It yields
+``DyadicFamily`` holds V(m/2^depth) as the rows of one array, built one
+level at a time.  The prenorm is the Birkhoff-Kakutani infimum
+N(x) = inf{r : x in V(r)}, capped at 1 for points in no proper V.  It
+yields
 
     rho_N(x, y)  = N(-x + y) + N(-y + x)       (a metric when the
                                                 chain tail is {0})
     d(x, y)      = |N(x) - N(y)|               (a pseudometric)
     varrho(pi(x), pi(y)) = d(-x+y, 0) + d(-y+x, 0)
-                                               (a metric on the coset
-                                                space G/H for the tail
-                                                H of an admissible
-                                                chain)
+                                (a metric on G/H for the tail H of an
+                                 admissible chain)
 
 Finite chains are eventually constant: the last listed set repeats
 forever and is the tail H.  Evaluation then closes the family under the
@@ -26,32 +26,32 @@ tail -- a membership x in H (+) V(r) certifies N(x) <= r, because a
 level-d bit of the index with d past stabilization contributes exactly
 an H factor, and iterated H factors collapse through gyration
 invariance.  This makes the computed N the exact infimum of the
-infinite construction (exact dyadic rationals), provided the build
-depth reaches the chain's stabilization index.
-
-Continuous chains are radial: every set is a norm ball and the whole
-construction collapses to exact one-dimensional arithmetic on radii.
+infinite construction, provided the build depth reaches the chain's
+stabilization index.  N, rho_N and varrho are then exact numerators over
+2^depth, and the balls and the quotient matrix are reads of the n x n
+rho_N matrix.  Radial chains (norm balls) collapse the construction to
+exact one-dimensional arithmetic on radii.
 
 The prenorm laws (zero, symmetry, subadditivity, gyration invariance)
 hold for the infimum only when the chain sets interact well with the
-tail; they are therefore verified per chain by ``prenorm_laws_check``
-rather than assumed.
+tail; ``prenorm_laws_check`` verifies them per chain.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import IO
 
 import numpy as np
 
 from .core import (CHUNK, AxiomReport, ChainError, CheckResult, GyroModel,
-                   SampleSpec, _verdict, first_hit)
-from .cosets import CosetPartition
-from .models import radial_third
+                   SampleSpec, _verdict, first_hit, read_json)
+from .cosets import CosetPartition, _as_finite_set
+from .models import radial_add, radial_half, radial_third
 from .sets import FiniteSet, OriginSet, RadialBall, member_masks
 
 __all__ = [
@@ -74,9 +74,6 @@ __all__ = [
     "micro_assoc_check",
     "chain_load",
 ]
-
-ONE = Fraction(1)
-
 
 @dataclass
 class DyadicChain:
@@ -131,16 +128,7 @@ def chain_load(model: GyroModel, source: str | bytes | IO | dict) -> DyadicChain
     finite models, ``{"flavor": ..., "radii": [r0, r1, ...]}`` for ball
     models.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source.read() if hasattr(source, "read") else source
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ChainError(f"invalid JSON: {e}") from None
+    doc = read_json(source, ChainError)
     if not isinstance(doc, dict):
         raise ChainError("chain document must be a JSON object")
     flavor = doc.get("flavor", "weak")
@@ -161,12 +149,11 @@ def chain_load(model: GyroModel, source: str | bytes | IO | dict) -> DyadicChain
     if "radii" in doc:
         if model.is_finite:
             raise ChainError("radial chains require a ball model")
-        bound = getattr(model, "c", 1.0)
         try:
             radii = [float(r) for r in doc["radii"]]
         except (TypeError, ValueError):
             raise ChainError("'radii' must be a list of numbers") from None
-        if any(not 0 < r < bound for r in radii):
+        if any(not 0 < r < model.c for r in radii):
             raise ChainError("radii must lie strictly inside the carrier")
         return DyadicChain([RadialBall(r) for r in radii], flavor)
     raise ChainError("chain document needs a 'sets' or 'radii' field")
@@ -215,9 +202,8 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
         return report
 
     radii = [s.radius for s in chain.sets]
-    bound = getattr(model, "c", 1.0)
     for n, r in enumerate(radii):
-        add(CheckResult.exact(f"chain-radius[{n}]", 1, None if 0.0 < r < bound
+        add(CheckResult.exact(f"chain-radius[{n}]", 1, None if 0.0 < r < model.c
                               else {"index": n, "radius": r}))
     # radii are float data: a few-ulp guard keeps exactly-tight chains
     # (e.g. radial_add(0.5, 0.5) = 0.8) valid under roundoff
@@ -247,54 +233,65 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
 
 
 class DyadicFamily:
-    """The dyadic family V(m/2^n) built from a validated chain.
+    """The dyadic family of a chain, as ``rows[m - 1]`` = V(m/2^depth) for
+    m = 1 ... 2^depth: boolean membership rows (finite chains) or ball
+    radii (radial chains).  Level k of the recursion holds V(m/2^k); its
+    even rows are level k - 1 and its odd rows U_k (+) [V(0) = {0}; level
+    k - 1].
 
-    ``entries`` maps reduced dyadic rationals in (0, 1] to sets.  For
-    finite models the evaluation grid carries exact ``Fraction`` values
-    (0 on the tail); for radial chains evaluation is a step function of
-    the norm over exactly-computed ball radii.
+    Finite families keep ``_num`` = 2^depth N and ``_rho`` = 2^depth rho_N
+    (n x n), in the least unsigned dtype that holds a sum of two
+    numerators: cast them before subtracting or scaling.
     """
 
     def __init__(self, model: GyroModel, chain: DyadicChain, depth: int,
                  report: AxiomReport | None = None):
-        self.model = model
-        self.chain = chain
-        self.depth = depth
-        self.report = report  # the chain's passing validation report
-        self.entries: dict[Fraction, object] = {}
-
-        self.entries[ONE] = chain.set_at(0)
-        for n in range(1, depth + 1):
-            self.entries[Fraction(1, 2 ** n)] = chain.set_at(n)
-            u_n = chain.set_at(n)
-            for m in range(1, 2 ** (n - 1)):
-                key = Fraction(2 * m + 1, 2 ** n)
-                self.entries[key] = u_n.oplus(
-                    model, self.entries[Fraction(m, 2 ** (n - 1))])
-        self.sorted_entries = sorted(self.entries.items())
-
-        if chain.kind == "finite":
-            tail = chain.tail
-            self.tail = tail
-            # _num[x] = 2^depth N(x), in a dtype that holds sums of two
-            scale = 2 ** depth
-            proper = [(r, S) for r, S in self.sorted_entries if r < ONE]
-            hits = np.array([tail.oplus(model, S).members() for _, S in proper],
-                            dtype=bool).reshape(-1, model.n)
-            nums = np.array([int(r * scale) for r, _ in proper] + [scale],
-                            dtype=np.min_scalar_type(2 * scale))
-            first = np.where(hits.any(axis=0), hits.argmax(axis=0), len(proper))
-            self._num = np.where(tail.members(), 0, nums[first]).astype(nums.dtype)
+        self.model, self.chain, self.depth = model, chain, depth
+        self.report = report  # the chain's validation report
+        self.scale = scale = 2 ** depth
+        finite = chain.kind == "finite"
+        U = chain.set_at(0)
+        rows = np.array([U.members() if finite else U.radius])
+        below = np.zeros_like(rows)  # V(0) = {0}: the row of 0, or radius 0
+        below[..., 0] = finite
+        for k in range(1, depth + 1):
+            odd = self._oplus(chain.set_at(k), np.concatenate([below, rows[:-1]]))
+            rows = np.stack([odd, rows], axis=1).reshape((-1,) + rows.shape[1:])
+        self.rows = rows
+        self.tail = chain.tail
+        if finite:
+            # N(x) is the first value whose tail (+) V(r) holds x, 1 past all
+            hits = self._oplus(self.tail, rows)
+            num = np.where(hits.any(axis=0), hits.argmax(axis=0) + 1, scale)
+            self._num = np.where(self.tail.members(), 0, num).astype(
+                np.min_scalar_type(2 * scale))
             self._grid = [Fraction(int(m), scale) for m in self._num]
+            wide = self._num[model.table[model.inverses]]  # num[-x + y]
+            self._rho = wide + wide.T
         else:
-            self.tail = OriginSet()
-            self._radii = np.array([s.radius for _, s in self.sorted_entries])
             # N(x) is the least value whose ball holds x.  Values ascend,
             # so that ball is where the radii's running maximum first
             # exceeds |x|, whatever the radii's order; past it N is 1
-            self._cover = np.maximum.accumulate(self._radii)
-            self._values = np.array([float(r) for r, _ in self.sorted_entries]
-                                    + [1.0])
+            self._cover = np.maximum.accumulate(rows)
+            self._values = np.append(np.arange(1, scale + 1) / scale, 1.0)
+
+    def _oplus(self, U, rows: np.ndarray) -> np.ndarray:
+        """U (+) V for every row V.  Finite rows take a scatter per u in U,
+        exact because each row of a validated table is a permutation."""
+        if self.chain.kind != "finite":
+            return radial_add(U.radius, rows, self.model.c)
+        out = np.zeros_like(rows)
+        for u in U.index_array():
+            out[:, self.model.table[u]] |= rows
+        return out
+
+    @functools.cached_property
+    def entries(self) -> MappingProxyType:
+        """V(r) by reduced dyadic r in (0, 1], read-only, built on first use."""
+        sets = (map(FiniteSet.of, self.rows) if self.chain.kind == "finite"
+                else map(RadialBall, self.rows.tolist()))
+        return MappingProxyType({Fraction(m, self.scale): S
+                                 for m, S in enumerate(sets, 1)})
 
     def value_grid(self) -> list[Fraction]:
         """Exact N per element (finite models)."""
@@ -310,8 +307,6 @@ class DyadicFamily:
 
     def prenorm_batch(self, xs):
         """Vectorized N over a batch (radial chains)."""
-        if self.chain.kind == "finite":
-            return (self._num / 2 ** self.depth)[np.asarray(xs, dtype=np.int64)]
         r = np.atleast_1d(np.asarray(self.model.norm(xs), dtype=float))
         out = self._values[np.searchsorted(self._cover, r, side="right")]
         out = np.where(r == 0.0, 0.0, out)
@@ -319,23 +314,20 @@ class DyadicFamily:
 
     def monotone_check(self) -> CheckResult:
         """r <= s implies V(r) <= V(s), a derived property of the family."""
+        rows = self.rows
         if self.chain.kind == "finite":
-            for (r1, s1), (r2, s2) in zip(self.sorted_entries,
-                                          self.sorted_entries[1:]):
-                if not s1 <= s2:
-                    return CheckResult(
-                        "family-monotone", False, len(self.sorted_entries), 1.0,
-                        {"r": str(r1), "s": str(r2),
-                         "escaped": sorted(set(s1.indices())
-                                           - set(s2.indices()))})
-            return CheckResult("family-monotone", True,
-                               len(self.sorted_entries), 0.0)
-        diffs = np.diff(self._radii)
+            hit = first_hit(rows[:-1] & ~rows[1:])
+            if hit:
+                i = hit[0]
+                hit = {"r": str(Fraction(i + 1, self.scale)),
+                       "s": str(Fraction(i + 2, self.scale)),
+                       "escaped": np.flatnonzero(rows[i] & ~rows[i + 1]).tolist()}
+            return CheckResult.exact("family-monotone", len(rows), hit)
+        diffs = np.diff(rows)
         ok = bool(np.all(diffs >= 0))
         worst = float(-diffs.min()) if diffs.size else 0.0
-        return CheckResult("family-monotone", ok, len(self.sorted_entries),
-                           max(0.0, worst),
-                           None if ok else {"radii": self._radii.tolist()})
+        return CheckResult("family-monotone", ok, len(rows), max(0.0, worst),
+                           None if ok else {"radii": rows.tolist()})
 
 
 def build_dyadic_family(model: GyroModel, chain: DyadicChain,
@@ -344,10 +336,14 @@ def build_dyadic_family(model: GyroModel, chain: DyadicChain,
     """Validate the chain (weak law suffices) and build V(m/2^n) to depth.
 
     An invalid chain raises ``ChainError`` with the failing validation
-    report as ``report``; the family keeps the passing one."""
+    report as ``report``.  A radial ``chain-gyr-invariant`` measures the
+    model's gyrations against ``eps``, not the chain: its failure stays
+    in the family's report as a verification failure."""
     report = validate_chain(model, chain, spec)
-    if not report.passed:
-        bad = report.failures()[0]
+    laws = [r for r in report.failures() if chain.kind == "finite"
+            or r.name != "chain-gyr-invariant"]
+    if laws:
+        bad = laws[0]
         err = ChainError(f"invalid chain: {bad.name} ({bad.witness})")
         err.report = report
         raise err
@@ -375,9 +371,10 @@ def ball(family: DyadicFamily, x, eps) -> FiniteSet:
     """{x' : d(x', x) < eps} in a finite model."""
     if family.chain.kind != "finite":
         raise ChainError("explicit balls exist for finite models only")
-    n = family.model.n
-    return FiniteSet(n, indices=[i for i in range(n)
-                                 if metric_d(family, i, x) < eps])
+    # numerators against eps 2^depth: exact for a float eps too, as a
+    # power of two scales it without rounding
+    num = family._num.astype(np.int64)
+    return FiniteSet.of(np.abs(num - num[int(x)]) < eps * family.scale)
 
 
 def rho_ball(family: DyadicFamily, x, eps) -> FiniteSet:
@@ -390,24 +387,21 @@ def rho_ball(family: DyadicFamily, x, eps) -> FiniteSet:
     """
     if family.chain.kind != "finite":
         raise ChainError("explicit balls exist for finite models only")
-    n = family.model.n
-    return FiniteSet(n, indices=[i for i in range(n)
-                                 if rho_N(family, i, x) < eps])
+    return FiniteSet.of(family._rho[int(x)] < eps * family.scale)
 
 
 def quotient_ball(family: DyadicFamily, partition: CosetPartition,
                   coset: int, eps) -> list[int]:
     """{coset' : varrho(coset', coset) < eps} in the coset space."""
-    return [j for j in range(len(partition.cosets))
-            if quotient_metric(family.model, family, partition, coset, j) < eps]
+    row = _quotient_nums(family, partition)[coset]
+    return np.flatnonzero(row < eps * family.scale).tolist()
 
 
 def coset_invariant_N_check(model: GyroModel, family: DyadicFamily,
                             H) -> CheckResult:
     """N(x + h) = N(x) for all x and h in the chain tail H."""
     if model.is_finite:
-        if not isinstance(H, FiniteSet):
-            H = FiniteSet(model.n, indices=H)
+        H = _as_finite_set(model, H)
         if H != family.tail:
             raise ValueError("H must be the tail of the family's chain")
         idx, num, N = H.index_array(), family._num, family._grid
@@ -425,26 +419,37 @@ def coset_invariant_N_check(model: GyroModel, family: DyadicFamily,
 
 
 def quotient_metric(model: GyroModel, family: DyadicFamily,
-                    partition: CosetPartition, ci: int, cj: int):
-    """varrho(pi(x), pi(y)) = d(-x+y, 0) + d(-y+x, 0) on the coset space.
+                    partition: CosetPartition) -> list[list[Fraction]]:
+    """The k x k matrix of varrho(pi(x), pi(y)) = d(-x+y, 0) + d(-y+x, 0)
+    over the partition's cosets.
 
     Requires the partition's H to be the tail of the (admissible) chain
     the family was built from.  Evaluated from every representative
-    pair; any disagreement is raised as representative dependence.
+    pair; the first disagreement in row-major order is raised as
+    representative dependence.
     """
+    return [[Fraction(int(m), family.scale) for m in row]
+            for row in _quotient_nums(family, partition)]
+
+
+def _quotient_nums(family: DyadicFamily, partition: CosetPartition):
+    """2^depth varrho between cosets, from one gather of ``_rho``."""
     if family.chain.flavor != "admissible":
         raise ValueError("quotient metrics require an admissible chain")
     if partition.H != family.tail:
         raise ValueError("partition subgroup must equal the chain tail")
-    X, Y = (np.asarray(partition.cosets[c]) for c in (ci, cj))
-    T, inv, num = model.table, model.inverses, family._num
-    vals = [Fraction(int(m), 2 ** family.depth) for m in np.unique(
-        num[T[inv[X][:, None], Y]] + num[T[inv[Y], X[:, None]]])]
-    if len(vals) != 1:
+    cos = np.asarray(partition.cosets)  # k x |H|
+    vals = family._rho[cos[:, :, None, None], cos]  # (ci, x, cj, y)
+    lo = vals.min(axis=(1, 3))
+    hit = first_hit(lo != vals.max(axis=(1, 3)))
+    if hit:
+        i, j = hit
+        found = sorted(str(Fraction(int(m), family.scale))
+                       for m in np.unique(vals[i, :, j]))
         raise ValueError(
             f"representative-dependent quotient distance between cosets "
-            f"{ci} and {cj}: values {sorted(map(str, vals))}")
-    return vals[0]
+            f"{i} and {j}: values {found}")
+    return lo
 
 
 def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
@@ -474,18 +479,15 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
         hit = first_hit(num[model.G] != num)
         out.append(CheckResult.exact("prenorm-gyr-invariance", n ** 3,
                                      hit and {"elements": hit}))
-        bad = None
-        for k in range(family.depth + 1):
-            U = family.chain.set_at(k).members()
-            lo = 2 ** (family.depth - k)  # the numerator of 1/2^k
-            low = (num < lo) & ~U
-            hit = first_hit(low | (U & (num > 2 * lo)))
-            if hit:
-                bad = {"index": k, "elements": hit,
-                       "side": "lower" if low[hit[0]] else "upper"}
-                break
-        out.append(CheckResult.exact("prenorm-sandwich",
-                                     (family.depth + 1) * n, bad))
+        k = np.arange(family.depth + 1)
+        U = np.array([family.chain.set_at(i).members() for i in k])
+        lo = (family.scale >> k)[:, None]  # the numerators of 1/2^k
+        low = (num < lo) & ~U
+        hit = first_hit(low | (U & (num > 2 * lo)))
+        if hit:
+            hit = {"index": hit[0], "elements": hit[1:],
+                   "side": "lower" if low[tuple(hit)] else "upper"}
+        out.append(CheckResult.exact("prenorm-sandwich", k.size * n, hit))
         return out
 
     rng = np.random.default_rng(spec.seed)
@@ -570,8 +572,7 @@ def shrink(model: GyroModel, U):
         return _greedy_shrink(model, start, U, triple=False)
     if not isinstance(U, RadialBall):
         raise ValueError("continuous shrinking supports radial balls only")
-    from .models import radial_half
-    return RadialBall(radial_half(U.radius, getattr(model, "c", 1.0)))
+    return RadialBall(radial_half(U.radius, model.c))
 
 
 def admissible_hull(model: GyroModel, U, depth: int = 10):
@@ -599,17 +600,13 @@ def admissible_hull(model: GyroModel, U, depth: int = 10):
             sets.append(V)
         while len(sets) < depth + 1:
             sets.append(sets[-1])
-        chain = DyadicChain(sets, "admissible")
-        return chain, sets[-1]
+        return DyadicChain(sets, "admissible"), sets[-1]
     if not isinstance(U, RadialBall):
         raise ValueError("continuous hulls support radial balls only")
-    r = U.radius
-    bound = getattr(model, "c", 1.0)
-    radii = [r]
+    radii = [U.radius]
     for _ in range(depth):
-        radii.append(radial_third(radii[-1], bound))
-    chain = DyadicChain([RadialBall(t) for t in radii], "admissible")
-    return chain, OriginSet()
+        radii.append(radial_third(radii[-1], model.c))
+    return DyadicChain([RadialBall(t) for t in radii], "admissible"), OriginSet()
 
 
 def admissible_intersection(model: GyroModel, chains: list[DyadicChain]):
@@ -637,18 +634,16 @@ def admissible_intersection(model: GyroModel, chains: list[DyadicChain]):
             for i in range(1, min(n, k - 1) + 1):
                 cur = cur & chains[i].set_at(n)
             sets.append(cur)
-        chain = DyadicChain(sets, "admissible")
-        return chain, sets[-1]
+        return DyadicChain(sets, "admissible"), sets[-1]
 
     length = min(len(c) for c in chains)
     if length < k:
         raise ChainError(
             "radial chains must be at least as long as their count "
             "for the diagonal to reach every chain")
-    sets = []
-    for n in range(length):
-        rr = min(chains[i].sets[n].radius for i in range(min(n, k - 1) + 1))
-        sets.append(RadialBall(rr))
+    sets = [RadialBall(min(chains[i].sets[n].radius
+                           for i in range(min(n, k - 1) + 1)))
+            for n in range(length)]
     return DyadicChain(sets, "admissible"), OriginSet()
 
 
@@ -661,8 +656,7 @@ def admissible_quotient_inclusion_check(model: GyroModel, chain: DyadicChain,
                  for n in range(len(chain) - 1))
         return CheckResult("quotient-inclusion", ok, len(chain) - 1,
                            0.0 if ok else 1.0)
-    if not isinstance(H, FiniteSet):
-        H = FiniteSet(model.n, indices=H)
+    H = _as_finite_set(model, H)
     for n in range(len(chain) - 1):
         small, big = chain.sets[n + 1], chain.sets[n]
         left = small.oplus(model, H)

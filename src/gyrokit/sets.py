@@ -122,35 +122,39 @@ class FiniteSet:
         return None if hit is None else tuple(hit)
 
     @staticmethod
-    def full(n: int) -> "FiniteSet":
-        return FiniteSet(n, (1 << n) - 1)
-
-    @staticmethod
     def singleton_zero(n: int) -> "FiniteSet":
         return FiniteSet(n, 1)
 
 
+class _BallSubset:
+    """A subset of a ball model.  ``contains_rows(model, x, slack)`` says
+    per element of the batch x whether it lies in the set within
+    ``slack`` (None: 0 for balls, ``eps`` otherwise); ``contains`` whether
+    all do."""
+
+    def contains(self, model, x, slack: float | None = None) -> bool:
+        return bool(np.all(self.contains_rows(model, x, slack)))
+
+
 @dataclass(frozen=True)
-class RadialBall:
+class RadialBall(_BallSubset):
     """The open norm ball {x : |x| < radius} in a ball model."""
 
     radius: float
 
-    def contains(self, model, x, slack: float = 0.0) -> bool:
-        return bool(np.all(model.norm(x) < self.radius + slack))
+    def contains_rows(self, model, x, slack: float | None = None) -> np.ndarray:
+        return model.norm(x) < self.radius + (slack or 0.0)
 
     def oplus(self, model, other: "RadialBall") -> "RadialBall":
-        c = getattr(model, "c", 1.0)
-        return RadialBall(radial_add(self.radius, other.radius, c))
+        return RadialBall(radial_add(self.radius, other.radius, model.c))
 
     def sample(self, model, rng: np.random.Generator, size: int):
         pts = model.sample(rng, size)
-        bound = 0.99 * getattr(model, "c", 1.0)
-        return pts * (self.radius / bound)
+        return pts * (self.radius / (0.99 * model.c))
 
 
 @dataclass(frozen=True)
-class AxisSet:
+class AxisSet(_BallSubset):
     """A coordinate axis intersected with the carrier ball.
 
     axis is a dimension index for vector models; the real axis of the
@@ -160,19 +164,18 @@ class AxisSet:
 
     axis: int = 0
 
-    def contains(self, model, x, slack: float | None = None) -> bool:
+    def contains_rows(self, model, x, slack: float | None = None) -> np.ndarray:
         tol = model.eps if slack is None else slack
         x = np.asarray(x)
         if np.iscomplexobj(x):
-            off = np.abs(x.imag) if self.axis == 0 else np.abs(x.real)
-            return bool(np.all(off <= tol) and np.all(np.abs(x) < 1.0))
-        others = np.delete(x, self.axis, axis=-1)
-        return bool(np.all(np.abs(others) <= tol)
-                    and np.all(model.norm(x) < getattr(model, "c", 1.0)))
+            on_axis = np.abs(x.imag if self.axis == 0 else x.real) <= tol
+        else:
+            on_axis = np.all(np.abs(np.delete(x, self.axis, axis=-1)) <= tol,
+                             axis=-1)
+        return on_axis & (model.norm(x) < model.c)
 
     def sample(self, model, rng: np.random.Generator, size: int):
-        c = getattr(model, "c", 1.0)
-        t = (2.0 * rng.random(size) - 1.0) * 0.99 * c
+        t = (2.0 * rng.random(size) - 1.0) * 0.99 * model.c
         if np.iscomplexobj(np.asarray(model.zero)):
             return t * (1.0 + 0j if self.axis == 0 else 1.0j)
         out = np.zeros((size, model.zero.shape[0]))
@@ -181,12 +184,12 @@ class AxisSet:
 
 
 @dataclass(frozen=True)
-class OriginSet:
+class OriginSet(_BallSubset):
     """The trivial subgyrogroup {0}."""
 
-    def contains(self, model, x, slack: float | None = None) -> bool:
+    def contains_rows(self, model, x, slack: float | None = None) -> np.ndarray:
         tol = model.eps if slack is None else slack
-        return bool(np.all(model.residual(x, model.zero) <= tol))
+        return model.residual(x, model.zero) <= tol
 
     def sample(self, model, rng: np.random.Generator, size: int):
         z = np.asarray(model.zero)
@@ -216,7 +219,7 @@ def parse_subset(model: GyroModel, text: str):
         return AxisSet(_AXES[key])
     if text.startswith("ball:"):
         r = float(text[5:])
-        if not 0 < r < getattr(model, "c", 1.0):
+        if not 0 < r < model.c:
             raise ValueError("ball radius must lie inside the carrier")
         return RadialBall(r)
     raise ValueError(f"cannot parse subset {text!r} for model {model.name}")

@@ -2,9 +2,10 @@ import functools
 import importlib.resources
 import itertools
 
+import numpy as np
 import pytest
 
-from gyrokit import EinsteinModel, MobiusModel, table_load
+from gyrokit import EinsteinModel, FiniteTable, MobiusModel, table_load
 
 
 def bundled_table_path(name: str):
@@ -28,6 +29,15 @@ def klein4():
 @pytest.fixture(scope="session")
 def g8():
     return load_bundled("g8")
+
+
+@pytest.fixture(scope="session")
+def g8xz2(g8):
+    """The direct product g8 x Z_2; the pair (a, b) has index 2 a + b."""
+    i = np.arange(16)
+    a, b = i // 2, i % 2
+    T = g8.table[a[:, None], a[None, :]] * 2 + (b[:, None] + b[None, :]) % 2
+    return FiniteTable(T, name="g8xz2")
 
 
 @pytest.fixture(scope="session")

@@ -172,7 +172,7 @@ def test_criterion_6_quotient_metric(z4):
     fam = build_dyadic_family(z4, chain, depth=4)
     H = FiniteSet(4, indices=[0, 2])
     part = left_cosets(z4, H)
-    assert quotient_metric(z4, fam, part, 0, 1) == F(2)
+    assert quotient_metric(z4, fam, part)[0][1] == F(2)
     vals = {rho_N(fam, x, y) for x in (0, 2) for y in (1, 3)}
     assert vals == {F(2)}
     assert coset_invariant_N_check(z4, fam, H).passed

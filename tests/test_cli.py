@@ -138,6 +138,33 @@ class TestMetric:
                                                             [0, 1]]}))
         assert main(["metric", "--model", Z4, "--chain", str(p)]) == 2
 
+    def test_sampled_gyr_invariance_failure_exits_one(self, tmp_path, capsys):
+        # on a ball model, chain-gyr-invariant measures the model's float
+        # gyrations against --eps: a verification failure, as in hull
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"flavor": "weak",
+                                 "radii": [0.8, 0.35066, 0.12146, 0.04]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["metric", "--model", "einstein", "--eps", "1e-17",
+                     "--chain", str(p), "--depth", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        recs = {r["check"]: r for r in read_jsonl(out)}
+        rec = recs["chain-gyr-invariant"]
+        assert rec["verdict"] == "fail" and rec["residual"] > 1e-17
+        assert recs["chain-containment[0]"]["verdict"] == "pass"
+
+    def test_radial_chain_law_exits_two(self, tmp_path, capsys):
+        # a failing radial chain law is still an invalid chain, even with
+        # the sampled gyration check failing too
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"flavor": "weak", "radii": [0.5, 0.49]}))
+        out = tmp_path / "r.jsonl"
+        assert main(["metric", "--model", "einstein", "--eps", "1e-17",
+                     "--chain", str(p), "--depth", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "invalid chain: chain-containment[0] ")
+        assert not out.exists()
+
 
 MALFORMED = [
     (["metric", "--model", Z4], "chain", [1, 2]),
@@ -212,9 +239,9 @@ class TestOtherCommands:
          ["chain-gyr-invariant", "prenorm-symmetry", "prenorm-subadditivity",
           "prenorm-gyr-invariance", "prenorm-sandwich"]),
         (["hull", "--model", "einstein", "--subset", "ball:0.8"],
-         ["chain-gyr-invariant"]),
+         ["chain-gyr-invariant", "tail-l-subgyrogroup"]),
         (["hull", "--model", "mobius", "--subset", "ball:0.8"],
-         ["chain-gyr-invariant"]),
+         ["chain-gyr-invariant", "tail-l-subgyrogroup"]),
     ], ids=["model0", "model1", "model2",
             "metric-einstein", "hull-einstein", "hull-mobius"])
     def test_microassoc_no_samples(self, argv, checks, radial_chain, tmp_path):
@@ -238,6 +265,17 @@ class TestOtherCommands:
         recs = {r["check"]: r for r in read_jsonl(out)}
         assert recs["tail-l-subgyrogroup"]["verdict"] == "pass"
         assert recs["hull-chain"]["value"]["flavor"] == "admissible"
+
+    @pytest.mark.parametrize("model", [["einstein", "--dim", "2"], ["mobius"]])
+    def test_hull_ball_tail_samples(self, model, tmp_path):
+        # the ball tail {0} is tested at --samples seeded pairs
+        out = tmp_path / "r.jsonl"
+        assert main(["hull", "--model", *model, "--subset", "ball:0.8",
+                     "--samples", "123", "--seed", "4", "--out", str(out)]) == 0
+        recs = {r["check"]: r for r in read_jsonl(out)}
+        assert recs["tail-l-subgyrogroup"] == {
+            "check": "tail-l-subgyrogroup", "verdict": "pass",
+            "samples": 123, "residual": 0.0}
 
     def test_intersect(self, adm_chain, tmp_path):
         out = tmp_path / "r.jsonl"

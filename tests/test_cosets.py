@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gyrokit import (CosetError, FiniteSet, SampleSpec, homogeneity_translate,
+from gyrokit import (CosetError, EinsteinModel, FiniteSet, MobiusModel,
+                     SampleSpec, homogeneity_translate,
                      is_L_subgyrogroup, is_subgyrogroup, left_cosets,
                      parse_subset, same_coset)
-from gyrokit.sets import AxisSet, RadialBall
+from gyrokit.sets import AxisSet, OriginSet, RadialBall
 
 from conftest import brute_l_subgyrogroups, brute_subgyrogroups
 
@@ -39,6 +40,43 @@ class TestSubgyrogroupDetection:
         ok, witness = is_subgyrogroup(einstein, RadialBall(0.5),
                                       SampleSpec(1000, seed=1))
         assert not ok and witness["kind"] == "closure"
+
+    @pytest.mark.parametrize("H", [OriginSet(), AxisSet(0), AxisSet(1),
+                                   RadialBall(0.5)], ids=repr)
+    def test_contains_rows_matches_contains(self, einstein, mobius, H):
+        for model in (einstein, mobius):
+            rng = np.random.default_rng(5)
+            outside = 1.5 * np.sign(AxisSet(0).sample(model, rng, 1))
+            batch = np.concatenate([model.sample(rng, 50),
+                                    H.sample(model, rng, 50),
+                                    np.stack([model.zero] * 3), outside])
+            rows = H.contains_rows(model, batch)
+            assert rows.shape == (len(batch),)
+            assert rows.tolist() == [H.contains(model, x) for x in batch]
+            assert 0 < rows.sum() < len(batch) and not rows[-1]
+
+    def test_continuous_witness_is_first_failing_sample(self):
+        # the loop the batched tests replace: the first failing draw.  An
+        # eps of 0.1 lets small gyrations keep the axis; at seed 14 the
+        # first draws pass in both tests
+        for model in (EinsteinModel(dim=3, eps=0.1), MobiusModel(eps=0.1)):
+            spec = SampleSpec(500, seed=14)
+            ok, witness = is_subgyrogroup(model, RadialBall(0.5), spec)
+            rng = np.random.default_rng(spec.seed)
+            xs, ys = (RadialBall(0.5).sample(model, rng, 500) for _ in "xy")
+            i = next(i for i, p in enumerate(model.op(xs, ys))
+                     if not RadialBall(0.5).contains(model, p))
+            assert not ok and i > 0 and witness["elements"] == [
+                model.to_payload(xs[i]), model.to_payload(ys[i])]
+
+            ok, witness = is_L_subgyrogroup(model, AxisSet(0), spec)
+            rng = np.random.default_rng(spec.seed + 1)
+            a = model.sample(rng, 500)
+            h, x = (AxisSet(0).sample(model, rng, 500) for _ in "hx")
+            i = next(i for i, g in enumerate(model.gyr(a, h, x))
+                     if not AxisSet(0).contains(model, g))
+            assert not ok and i > 0 and witness["elements"] == [
+                model.to_payload(t[i]) for t in (a, h, x)]
 
 
 class TestLSubgyrogroups:

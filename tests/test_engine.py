@@ -19,15 +19,6 @@ from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
                       bundled_table_path)
 
 
-@pytest.fixture(scope="module")
-def g8xz2(g8):
-    """The direct product g8 x Z_2; the pair (a, b) has index 2 a + b."""
-    i = np.arange(16)
-    a, b = i // 2, i % 2
-    T = g8.table[a[:, None], a[None, :]] * 2 + (b[:, None] + b[None, :]) % 2
-    return FiniteTable(T, name="g8xz2")
-
-
 def test_tensor_matches_brute_gyr(g8):
     assert g8.G.dtype == np.uint8
     for a in range(8):

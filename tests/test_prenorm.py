@@ -149,6 +149,54 @@ class TestFamilyConstruction:
             for r, S in fam.entries.items():
                 assert set(S.indices()) == oracle[r], f"V({r}) differs"
 
+    def test_rows_match_brute_on_g8xz2_hull(self, g8xz2):
+        chain, _ = admissible_hull(g8xz2, FiniteSet(16, indices=range(16)),
+                                   depth=8)
+        sets = [s.indices() for s in chain.sets]
+        for depth in range(1, 9):
+            fam = build_dyadic_family(g8xz2, chain, depth=depth)
+            assert fam.rows.shape == (2 ** depth, 16)
+            oracle = brute_family(g8xz2, sets, depth)
+            assert set(fam.entries) == set(oracle)
+            for r, S in fam.entries.items():
+                assert set(S.indices()) == oracle[r], f"V({r}) differs"
+            if depth in (1, 4, 8):
+                assert fam.value_grid() == brute_prenorm(g8xz2, sets, depth)
+
+    def test_rows_keep_operand_order(self, g8):
+        # an unvalidated chain on sets with {0,3} (+) {0,2} != {0,2} (+)
+        # {0,3}: each odd row is U_k (+) V, in that order
+        sets = [tuple(range(8)), (0, 2), (0, 3), (0, 2, 3)]
+        chain = DyadicChain([FiniteSet(8, indices=t) for t in sets])
+        fam = DyadicFamily(g8, chain, 3)
+        oracle = brute_family(g8, sets, 3)
+        assert {r: set(S.indices()) for r, S in fam.entries.items()} == oracle
+
+    def test_entries_are_read_only(self, z4):
+        fam = build_dyadic_family(z4, z4_weak_chain(), depth=2)
+        with pytest.raises(TypeError):
+            fam.entries[F(1, 4)] = fam.entries[F(1)]
+
+    @pytest.mark.parametrize("sets, depth, witness", [
+        ([[0, 2], [0, 1, 2, 3], [0]], 1,
+         {"r": "1/2", "s": "1", "escaped": [1, 3]}),
+        ([[0, 2], [0, 1, 2, 3], [0]], 3,
+         {"r": "7/8", "s": "1", "escaped": [1, 3]}),
+        ([[0, 1, 2, 3], [0], [0, 2]], 1, None),
+        ([[0, 1, 2, 3], [0], [0, 2]], 2,
+         {"r": "1/4", "s": "1/2", "escaped": [2]}),
+        ([[0, 1, 2, 3], [0], [0, 2]], 4,
+         {"r": "7/16", "s": "1/2", "escaped": [2]}),
+    ])
+    def test_finite_monotone_witness(self, z4, sets, depth, witness):
+        # unvalidated chains, built directly: the first adjacent pair
+        # V(r) !<= V(s) in ascending order and what escapes
+        chain = DyadicChain([FiniteSet(4, indices=t) for t in sets])
+        r = DyadicFamily(z4, chain, depth).monotone_check()
+        assert (r.passed, r.samples, r.max_residual, r.witness) == (
+            witness is None, 2 ** depth, 0.0 if witness is None else 1.0,
+            witness)
+
     def test_even_indices_reduce(self, z4):
         fam = build_dyadic_family(z4, z4_weak_chain(), depth=4)
         # V(2m/2^n) = V(m/2^(n-1)): reduced keys make them one entry
@@ -194,6 +242,19 @@ class TestPrenorm:
         assert fam.value_grid() == oracle
         assert fam.value_grid() == [F(0), F(0), F(1), F(1),
                                     F(1, 2), F(1, 2), F(1), F(1)]
+
+    @pytest.mark.parametrize("sets, witness", [
+        ([[0, 1], [0, 1, 2]], {"index": 0, "elements": [2], "side": "lower"}),
+        ([[0, 1, 2], [0], [0, 1], [0, 1]],
+         {"index": 1, "elements": [1], "side": "lower"}),
+    ])
+    def test_finite_sandwich_witness(self, z4, sets, witness):
+        # unvalidated chains, built directly: the first (k, x) in order
+        # with N(x) < 1/2^k off U_k, or N(x) > 2/2^k on it
+        chain = DyadicChain([FiniteSet(4, indices=t) for t in sets])
+        r = prenorm_laws_check(z4, DyadicFamily(z4, chain, 1))[-1]
+        assert (r.name, r.passed, r.samples, r.witness) == (
+            "prenorm-sandwich", False, 8, witness)
 
     def test_radial_outside_everything_is_one(self, einstein):
         fam = build_dyadic_family(einstein, halving_radial_chain(), depth=10)
@@ -272,8 +333,8 @@ class TestQuotient:
     def test_z4_quotient_value(self, z4):
         fam = build_dyadic_family(z4, z4_adm_chain(), depth=4)
         part = left_cosets(z4, FiniteSet(4, indices=[0, 2]))
-        assert quotient_metric(z4, fam, part, 0, 0) == 0
-        assert quotient_metric(z4, fam, part, 0, 1) == F(2)
+        assert quotient_metric(z4, fam, part)[0][0] == 0
+        assert quotient_metric(z4, fam, part)[0][1] == F(2)
         # representative independence, by hand over all 4 pairs
         vals = {rho_N(fam, x, y) for x in (0, 2) for y in (1, 3)}
         assert vals == {F(2)}
@@ -293,7 +354,7 @@ class TestQuotient:
         fam = build_dyadic_family(g8, g8_chain([0, 1]), depth=5)
         part = left_cosets(g8, H)
         k = len(part.cosets)
-        dist = [[quotient_metric(g8, fam, part, i, j) for j in range(k)]
+        dist = [[quotient_metric(g8, fam, part)[i][j] for j in range(k)]
                 for i in range(k)]
         for i in range(k):
             assert dist[i][i] == 0
@@ -307,7 +368,7 @@ class TestQuotient:
         fam = build_dyadic_family(z4, z4_weak_chain(), depth=4)
         part = left_cosets(z4, FiniteSet(4, indices=[0, 2]))
         with pytest.raises(ValueError):
-            quotient_metric(z4, fam, part, 0, 1)
+            quotient_metric(z4, fam, part)[0][1]
 
     def test_ball_preimage_law(self, z4, g8):
         # pi^-1(B*(pi(x), eps)) is exactly the rho_N-ball and is
@@ -325,13 +386,68 @@ class TestQuotient:
                     assert set(rho_ball(fam, x, eps).indices()) == preimage
                     assert preimage <= set(ball(fam, x, eps).indices())
 
+    def test_balls_match_pointwise_definitions(self, g8, g8xz2):
+        # the row reads against the loops over metric_d and rho_N, with
+        # eps on and between the dyadic values, as Fraction and float
+        chain, _ = admissible_hull(g8xz2, FiniteSet(16, indices=range(16)),
+                                   depth=10)
+        cases = [(g8, g8_chain([0, 1]), 5), (g8xz2, chain, 10)]
+        for model, chain, depth in cases:
+            fam = build_dyadic_family(model, chain, depth=depth)
+            for x in range(model.n):
+                for eps in (0, F(1, 8), 0.125, F(3, 1024), 0.3, 1, F(3, 2),
+                            2.0, 3, float("inf"), float("nan")):
+                    want = tuple(i for i in range(model.n)
+                                 if metric_d(fam, i, x) < eps)
+                    assert ball(fam, x, eps).indices() == want
+                    want = tuple(i for i in range(model.n)
+                                 if rho_N(fam, i, x) < eps)
+                    assert rho_ball(fam, x, eps).indices() == want
+
+    def test_quotient_matrix_matches_pairs(self, g8, g8xz2):
+        hull, _ = admissible_hull(g8xz2, FiniteSet(16, indices=range(16)),
+                                  depth=10)
+        cases = [(g8, g8_chain([0, 1]), [0, 1], 6),
+                 (g8, g8_chain([0, 1, 4, 5]), [0, 1, 4, 5], 3),
+                 (g8xz2, hull, [0], 10)]
+        for model, chain, hidx, depth in cases:
+            fam = build_dyadic_family(model, chain, depth=depth)
+            part = left_cosets(model, FiniteSet(model.n, indices=hidx))
+            dist = quotient_metric(model, fam, part)
+            k = len(part.cosets)
+            assert len(dist) == k and all(len(row) == k for row in dist)
+            for i, X in enumerate(part.cosets):
+                for j, Y in enumerate(part.cosets):
+                    assert {rho_N(fam, x, y) for x in X for y in Y} == \
+                        {dist[i][j]}
+                for eps in (F(1, 4), 0.5, 1, F(9, 8)):
+                    assert quotient_ball(fam, part, i, eps) == \
+                        [j for j in range(k) if dist[i][j] < eps]
+
+    def test_representative_dependence_raises(self, g8):
+        # an unvalidated chain whose N is not constant on the cosets of
+        # its tail: the first dependent pair in row-major order is named
+        chain = DyadicChain([FiniteSet(8, indices=range(8)),
+                             FiniteSet(8, indices=[0, 2]),
+                             FiniteSet(8, indices=[0, 1])], "admissible")
+        fam = DyadicFamily(g8, chain, 2)
+        part = left_cosets(g8, FiniteSet(8, indices=[0, 1]))
+        msg = ("representative-dependent quotient distance between cosets "
+               "0 and 1: values ['1', '3/2']")
+        with pytest.raises(ValueError) as err:
+            quotient_metric(g8, fam, part)
+        assert str(err.value) == msg
+        with pytest.raises(ValueError) as err:
+            quotient_ball(fam, part, 0, 1)
+        assert str(err.value) == msg
+
     def test_d_ball_can_exceed_quotient_preimage(self, z4):
         # d(1, 0) = 1 < 3/2 yet varrho(pi(1), pi(0)) = 2: the one-sided
         # pseudometric ball is strictly larger than the fiber union
         fam = build_dyadic_family(z4, z4_adm_chain(), depth=4)
         part = left_cosets(z4, FiniteSet(4, indices=[0, 2]))
         assert metric_d(fam, 1, 0) == F(1)
-        assert quotient_metric(z4, fam, part, 0, 1) == F(2)
+        assert quotient_metric(z4, fam, part)[0][1] == F(2)
         assert 1 in ball(fam, 0, F(3, 2))
         assert 1 not in rho_ball(fam, 0, F(3, 2))
 
