@@ -15,6 +15,7 @@ reports on finite models.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -237,7 +238,10 @@ def cmd_intersect(args) -> AxiomReport:
     return rep
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every ``main`` call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True,
                         help="einstein | mobius | table:<path>")

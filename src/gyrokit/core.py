@@ -23,12 +23,15 @@ exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
 a replayable witness, never exceptions.
 
-Sweeps run in consecutive blocks of ``CHUNK`` rows after one full draw
-(finite cubes are generated block by block), and each check's verdicts
-are merged so that the report equals that of one pass over all rows.
-Memory is bounded by the draw plus the temporaries of one block.
-Within a block, each gyration gyr[a, b] is applied once to a stack of
-its arguments, and each sum a + b is formed once.
+Sweeps run in consecutive blocks of ``CHUNK`` rows after one full draw,
+and each check's verdicts are merged so that the report equals that of
+one pass over all rows.  Memory is bounded by the draw plus the
+temporaries of one block.  Within a block, each gyration gyr[a, b] is
+applied once to a stack of its arguments, and each sum a + b is formed
+once.  ``check_axioms`` on a finite table reads ``table``, ``inverses``
+and ``G`` directly, in ``G``'s dtype, one slab of about ``CHUNK`` / n^2
+first indices at a time: every check of a slab is one gather of shape
+(slab, n, n), and no index cube is built.
 """
 
 from __future__ import annotations
@@ -268,12 +271,18 @@ def _blocks(model: GyroModel, spec: SampleSpec):
 
 
 def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
-    """Run ``checks(model, x, y, z)`` on every block and merge per check.
+    """Run ``checks(model, x, y, z)`` on every block and merge per check."""
+    return _merged(model, [checks(model, *xyz)
+                           for xyz in _blocks(model, spec)])
+
+
+def _merged(model: GyroModel, parts) -> AxiomReport:
+    """One report from the check lists of consecutive blocks.
 
     A check keeps the witness of the first block with the largest maximum
     (NaN first), the row one argmax over all rows picks; its verdict is
     that maximum against ``eps``, and its samples are summed."""
-    parts = [checks(model, *xyz) for xyz in _blocks(model, spec)]
+    parts = list(parts)
     worst = np.argmax([[r.max_residual for r in p] for p in parts], axis=0)
     report = AxiomReport()
     for i, b in enumerate(worst):
@@ -334,10 +343,9 @@ def check_axioms(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomRepo
     gyration formula; ball models get the gyration-isometry check that
     makes norm balls a gyration-invariant neighborhood base.
     """
-    report = _swept(model, spec, _axiom_checks)
     if model.is_finite:
-        report.results.extend(_finite_extras(model))
-    return report
+        return _merged(model, _finite_slabs(model))
+    return _swept(model, spec, _axiom_checks)
 
 
 def _axiom_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
@@ -367,32 +375,113 @@ def _axiom_checks(model: GyroModel, x, y, z) -> list[CheckResult]:
                gzx, model.op(gy, gx), [x, y, z]))
 
     norm = getattr(model, "norm", None)
-    if not model.is_finite and norm is not None:
+    if norm is not None:
         add(_verdict(model, "gyration-isometry", np.abs(norm(gy) - norm(z)),
                      [x, y, z]))
     return out
 
 
-def _finite_extras(model: GyroModel) -> list[CheckResult]:
-    """Exact finite-only checks: gyration bijectivity and left-division.
+def _slabs(n: int) -> list[tuple[int, int]]:
+    """The ranges [lo, hi) of first indices that cut an n^3 cube into slabs
+    of max(CHUNK // n^2, 1) whole first indices; the last may be shorter."""
+    step = max(CHUNK // (n * n), 1)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _finite_slabs(model: GyroModel):
+    """The check lists of ``check_axioms`` on a finite table, one per slab.
+    The table in ``G``'s dtype, its transpose and the left-division table
+    are built once."""
+    T = model.table.astype(model.G.dtype)
+    Tt = np.ascontiguousarray(T.T)
+    left = _left_division(model)
+    for lo, hi in _slabs(model.n):
+        yield (_finite_axiom_checks(model, T, Tt, lo, hi)
+               + _finite_extras(model, lo, hi, left))
+
+
+def _gather(M, a, b):
+    """M[a, b] for broadcasting index arrays a and b, as one gather at the
+    flat indices a m + b of the m-column M: faster than numpy's indexing
+    with two arrays, and reading along rows of M where b varies fastest."""
+    return M.ravel()[a.astype(np.intp) * M.shape[1] + b]
+
+
+def _slab_verdict(name: str, bad, lo: int, samples: int,
+                  width: int | None = None) -> CheckResult:
+    """An exact verdict whose witness is the first True of ``bad`` (a slab
+    of first indices from ``lo``), cut to its first ``width`` indices."""
+    hit = first_hit(bad)
+    if hit:
+        hit[0] += lo
+    return CheckResult.exact(name, samples, hit and {
+        "elements": hit[:width], "residual": 1.0})
+
+
+def _finite_axiom_checks(model: GyroModel, T, Tt, lo: int,
+                         hi: int) -> list[CheckResult]:
+    """The checks of ``_axiom_checks`` on the triples (x, y, z) with
+    lo <= x < hi of a finite table, as gathers on ``T`` (the table in
+    ``G``'s dtype), its transpose ``Tt``, ``inverses`` and ``G``.  Each
+    check counts the slab's (hi - lo) n^2 triples, and a failure's
+    witness is its first failing triple in row-major order: [x] alone for
+    the checks that involve x only, whose first failing row is (x, 0, 0)."""
+    n, G = model.n, model.G
+    x = np.arange(lo, hi)
+    inv = model.inverses[x]
+    Ta, Ga = T[lo:hi], G[lo:hi]
+    cube = (hi - lo) * n * n
+    rows = np.arange((hi - lo) * n).reshape(hi - lo, n, 1)
+    return [
+        _slab_verdict("axiom-identity-left", T[0, x] != x, lo, cube),
+        _slab_verdict("axiom-identity-right", T[x, 0] != x, lo, cube),
+        _slab_verdict("axiom-inverse-left", T[inv, x] != 0, lo, cube),
+        _slab_verdict("axiom-inverse-right", T[x, inv] != 0, lo, cube),
+        # x + (y + z) = (x + y) + gyr[x, y](z)
+        _slab_verdict("axiom-gyroassociativity",
+                      Ta[:, T] != _gather(T, Ta[:, :, None], Ga), lo, cube),
+        # gyr[x + y, y](z) = gyr[x, y](z): row (x + y) n + y of G as (n^2, n)
+        _slab_verdict("axiom-loop-property",
+                      G.reshape(n * n, n)[Ta.astype(np.intp) * n
+                                          + np.arange(n)] != Ga, lo, cube),
+        # gyr[x, y](z + x) = gyr[x, y](z) + gyr[x, y](x)
+        _slab_verdict("gyration-additivity",
+                      _gather(Ga.reshape(-1, n), rows, Tt[x][:, None, :])
+                      != _gather(Tt, G[x, :, x][:, :, None], Ga), lo, cube),
+    ]
+
+
+def _left_division(model: GyroModel) -> np.ndarray:
+    """left[r, v]: the least w with r + w = v, n when there is none."""
+    n = model.n
+    left = np.full((n, n), n, dtype=np.min_scalar_type(n))
+    np.minimum.at(left, (np.arange(n)[:, None], model.table),
+                  np.arange(n, dtype=left.dtype))
+    return left
+
+
+def _finite_extras(model: GyroModel, lo: int = 0, hi: int | None = None,
+                   left=None) -> list[CheckResult]:
+    """Exact finite-only checks: gyration bijectivity and left-division,
+    on the first indices lo <= a < hi (default all).
 
     ``gyration-left-division`` solves (a+b) + w = a + (b+z) for w with
     the first-occurrence inverse of each Cayley row and compares against
     the gyration formula; the two agree exactly when gyroassociativity
-    holds with a unique solution.
+    holds with a unique solution.  ``left`` is ``_left_division(model)``,
+    built when not given.
     """
     n, G = model.n, model.G
-    T = model.table.astype(G.dtype)  # n^3 gathers stay in G's small dtype
-    ab = first_hit(np.sort(G, axis=2) != np.arange(n))
-    # left[r, v]: the least w with r + w = v, n when there is none
-    left = np.full((n, n), n, dtype=np.min_scalar_type(n))
-    np.minimum.at(left, (np.arange(n)[:, None], T),
-                  np.arange(n, dtype=left.dtype))
-    abz = first_hit(left[T[:, :, None], T[:, T]] != G)
-    return [CheckResult.exact("gyration-bijectivity", n * n,
-                              ab and {"elements": ab[:2], "residual": 1.0}),
-            CheckResult.exact("gyration-left-division", n ** 3,
-                              abz and {"elements": abz, "residual": 1.0})]
+    hi = n if hi is None else hi
+    left = _left_division(model) if left is None else left
+    # gathers stay in G's small dtype
+    Ta, Ga = model.table[lo:hi].astype(G.dtype), G[lo:hi]
+    return [_slab_verdict("gyration-bijectivity",
+                          np.sort(Ga, axis=2) != np.arange(n, dtype=G.dtype),
+                          lo, (hi - lo) * n, width=2),
+            _slab_verdict("gyration-left-division",
+                          _gather(left, Ta[:, :, None], Ta[:, model.table])
+                          != Ga, lo, (hi - lo) * n * n)]
 
 
 def check_identities(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomReport:

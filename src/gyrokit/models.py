@@ -24,6 +24,8 @@ from .core import (
     GyroModel,
     SampleSpec,
     TableError,
+    _gather,
+    _slabs,
     check_axioms,
     read_json,
 )
@@ -255,23 +257,26 @@ class MobiusModel(GyroModel):
     def contains(self, a) -> bool:
         return bool(np.all(self.norm(a) < 1.0))
 
+    def _points(self, *operands):
+        """The operands as complex arrays, each converted and checked once
+        to lie in the disk: its largest |a| below 1 (NaN fails)."""
+        out = [np.asarray(a, dtype=complex) for a in operands]
+        for a in out:
+            if not np.abs(a).max(initial=0.0) < 1.0:
+                raise CarrierError("point outside the unit disk")
+        return out
+
     def op(self, a, b):
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if not (self.contains(a) and self.contains(b)):
-            raise CarrierError("point outside the unit disk")
+        a, b = self._points(a, b)
         return (a + b) / (1.0 + np.conj(a) * b)
 
     def inv(self, a):
         return -np.asarray(a, dtype=complex)
 
     def gyr(self, a, b, z):
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if not (self.contains(a) and self.contains(b) and self.contains(z)):
-            raise CarrierError("point outside the unit disk")
+        a, b, z = self._points(a, b, z)
         q = (1.0 + a * np.conj(b)) / (1.0 + np.conj(a) * b)
-        return q * np.asarray(z, dtype=complex)
+        return q * z
 
     def residual(self, a, b):
         return np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
@@ -296,10 +301,13 @@ class FiniteTable(GyroModel):
     axiom suite and rejects any table that is not a gyrogroup, so every
     live instance is a validated model.  Labels are cosmetic.
 
-    ``G[a, b, z] = gyr[a, b](z)`` is computed once by table lookups and
-    kept in the smallest unsigned dtype: n^3 bytes up to n = 256, and
-    ``gyr`` returns that dtype.  Public methods check carrier membership;
-    the finite algorithms index ``table``, ``inverses`` and ``G`` directly.
+    ``G[a, b, z] = gyr[a, b](z)`` is computed once by table lookups, one
+    slab of first indices a at a time, and kept in the smallest unsigned
+    dtype: n^3 bytes up to n = 256, and ``gyr`` returns that dtype.  The
+    load-time ``check_axioms`` reads ``table``, ``inverses`` and ``G`` in
+    the same slabs, so beside ``G`` it needs only one slab's gathers.
+    Public methods check carrier membership; the finite algorithms index
+    ``table``, ``inverses`` and ``G`` directly.
     """
 
     is_finite = True
@@ -338,8 +346,13 @@ class FiniteTable(GyroModel):
                 left = np.nonzero(tbl[a] == 0)[0]
                 inv[a] = hits[0] if hits.size else (left[0] if left.size else 0)
         self.inverses = inv
+        # G[a, b] = -(a + b) + (a + (b + .)), a slab at a time: no n^3
+        # temporary is alive beside G
         t = tbl.astype(np.min_scalar_type(n - 1))
-        self.G = t[inv[t][:, :, None], t[:, t]]
+        self.G = np.empty((n, n, n), dtype=t.dtype)
+        for lo, hi in _slabs(n):
+            ta = t[lo:hi]
+            self.G[lo:hi] = _gather(t, inv[ta][:, :, None], ta[:, t])
 
         # the load-time validation report (None if validate=False)
         self.axiom_report = None

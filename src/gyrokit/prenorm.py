@@ -52,7 +52,7 @@ from .core import (CHUNK, AxiomReport, ChainError, CheckResult, GyroModel,
                    SampleSpec, _verdict, first_hit, read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
-from .sets import FiniteSet, OriginSet, RadialBall, member_masks
+from .sets import FiniteSet, OriginSet, RadialBall, member_masks, oplus_rows
 
 __all__ = [
     "DyadicChain",
@@ -180,25 +180,26 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
             w = U.gyr_invariance_witness(model)
             add(CheckResult.exact(f"chain-gyr-invariant[{n}]", model.n ** 2,
                                   w and {"index": n, "elements": list(w)}))
+        # the laws on membership rows: the product's size and its members
+        # outside the bound, ascending
         for n in range(len(chain.sets) - 1):
             small, big = chain.sets[n + 1], chain.sets[n]
-            prod = small.oplus(model, small)
+            prod = oplus_rows(model, small, small.members())
             if chain.flavor == "admissible":
-                prod = small.oplus(model, prod)
-            ok = prod <= big
-            if not ok and report.failing_index is None:
+                prod = oplus_rows(model, small, prod)
+            escaped = np.flatnonzero(prod & ~big.members()).tolist()
+            if escaped and report.failing_index is None:
                 report.failing_index = n
-            escaped = sorted(set(prod.indices()) - set(big.indices()))
-            add(CheckResult.exact(f"chain-containment[{n}]", len(prod), None
-                                  if ok else {"index": n, "escaped": escaped}))
+            add(CheckResult.exact(f"chain-containment[{n}]", int(prod.sum()),
+                                  {"index": n, "escaped": escaped}
+                                  if escaped else None))
         tail = chain.sets[-1]
-        prod = tail.oplus(model, tail)
-        ok = prod <= tail
-        if not ok and report.failing_index is None:
+        prod = oplus_rows(model, tail, tail.members())
+        escaped = np.flatnonzero(prod & ~tail.members()).tolist()
+        if escaped and report.failing_index is None:
             report.failing_index = len(chain.sets) - 1
-        escaped = sorted(set(prod.indices()) - set(tail.indices()))
-        add(CheckResult.exact("chain-tail-closed", len(prod),
-                              None if ok else {"escaped": escaped}))
+        add(CheckResult.exact("chain-tail-closed", int(prod.sum()),
+                              {"escaped": escaped} if escaped else None))
         return report
 
     radii = [s.radius for s in chain.sets]
@@ -276,14 +277,11 @@ class DyadicFamily:
             self._values = np.append(np.arange(1, scale + 1) / scale, 1.0)
 
     def _oplus(self, U, rows: np.ndarray) -> np.ndarray:
-        """U (+) V for every row V.  Finite rows take a scatter per u in U,
-        exact because each row of a validated table is a permutation."""
+        """U (+) V for every row V: ``oplus_rows`` on finite rows, radial
+        addition on radii."""
         if self.chain.kind != "finite":
             return radial_add(U.radius, rows, self.model.c)
-        out = np.zeros_like(rows)
-        for u in U.index_array():
-            out[:, self.model.table[u]] |= rows
-        return out
+        return oplus_rows(self.model, U, rows)
 
     @functools.cached_property
     def entries(self) -> MappingProxyType:
@@ -656,17 +654,16 @@ def admissible_quotient_inclusion_check(model: GyroModel, chain: DyadicChain,
                  for n in range(len(chain) - 1))
         return CheckResult("quotient-inclusion", ok, len(chain) - 1,
                            0.0 if ok else 1.0)
-    H = _as_finite_set(model, H)
+    H = _as_finite_set(model, H).members()
     for n in range(len(chain) - 1):
         small, big = chain.sets[n + 1], chain.sets[n]
-        left = small.oplus(model, H)
-        mid = small.oplus(model, small)
-        if not (left <= mid and mid <= big):
+        left, mid = oplus_rows(model, small, np.stack([H, small.members()]))
+        left_ok = not np.any(left & ~mid)
+        mid_ok = not np.any(mid & ~big.members())
+        if not (left_ok and mid_ok):
             return CheckResult(
                 "quotient-inclusion", False, len(chain) - 1, 1.0,
-                {"index": n,
-                 "left<=mid": bool(left <= mid),
-                 "mid<=right": bool(mid <= big)})
+                {"index": n, "left<=mid": left_ok, "mid<=right": mid_ok})
     return CheckResult("quotient-inclusion", True, len(chain) - 1, 0.0)
 
 

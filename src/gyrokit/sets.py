@@ -32,6 +32,17 @@ def member_masks(vals, n: int) -> np.ndarray:
     return out
 
 
+def oplus_rows(model: GyroModel, U: "FiniteSet", rows: np.ndarray):
+    """U (+) V for every boolean membership row V (the last axis of
+    ``rows``), as one scatter per u in U: exact because each row of a
+    validated table is a permutation."""
+    out = np.zeros_like(rows)
+    # on the transposes the scatter indexes the first axis: faster
+    for row in model.table[U.index_array()]:
+        out.T[row] |= rows.T
+    return out
+
+
 class FiniteSet:
     """An immutable subset of a finite carrier, stored as a bitmask."""
 

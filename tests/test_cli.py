@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gyrokit
 from gyrokit import (EinsteinModel, SampleSpec, check_axioms,
                      check_identities)
-from gyrokit.cli import main
+from gyrokit.cli import build_parser, main
 
 from conftest import bundled_table_path, load_bundled
 
@@ -321,3 +326,35 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_parser_reused_without_leaking_state(self, adm_chain, weak_chain,
+                                                 tmp_path):
+        """The parser is built once per process; no call sees another's
+        arguments, and a command's bytes match those of a fresh process."""
+        assert build_parser() is build_parser()
+        other = tmp_path / "adm2.json"
+        other.write_text(json.dumps(
+            {"flavor": "admissible", "sets": [[0, 1, 2, 3], [0, 2], [0]]}))
+        for chains in ([adm_chain, adm_chain], [str(other)]):
+            out = tmp_path / "inter.jsonl"
+            argv = ["intersect", "--model", Z4, "--out", str(out)]
+            for c in chains:
+                argv += ["--chain", c]
+            assert main(argv) == 0
+            config = {r["check"]: r for r in read_jsonl(out)}["_config"]
+            assert config["chain"] == chains
+
+        out = tmp_path / "metric.jsonl"
+        assert main(["metric", "--model", Z4, "--chain", weak_chain,
+                     "--depth", "3", "--pairs", "1:2", "--out",
+                     str(out)]) == 0
+        check = ["check", "--model", G8, "--seed", "3"]
+        here, fresh = tmp_path / "here.jsonl", tmp_path / "fresh.jsonl"
+        assert main(check + ["--out", str(here)]) == 0
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(gyrokit.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "gyrokit.cli", *check, "--out",
+             str(fresh)], env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        assert here.read_bytes() == fresh.read_bytes()

@@ -12,7 +12,8 @@ from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
 from gyrokit.cli import main
 from gyrokit.core import (CHUNK, AxiomReport, CheckResult, SampleSpec,
                           _axiom_checks, _blocks, _finite_extras,
-                          _identity_checks, _swept, _triples, _verdict)
+                          _identity_checks, _left_division, _merged, _swept,
+                          _triples, _verdict, first_hit)
 from gyrokit.prenorm import _directions
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
@@ -218,6 +219,89 @@ def test_row_swapped_table_blocks_match_whole_cube(g8):
     assert ids.to_json_lines() == whole_report(model, _identity_checks, *cube)
     late = [r.witness["elements"] for r in ids.failures()]
     assert any(x * n * n + y * n >= CHUNK for x, y in late)
+
+
+# check_axioms on a finite table is a gather body over slabs of
+# max(CHUNK // n^2, 1) first indices; it must report what the generic block
+# body reports on the whole index cube.
+
+def product_table(g8, k):
+    """g8 x Z_k; the pair (a, b) has index k a + b."""
+    i = np.arange(8 * k)
+    a, b = i // k, i % k
+    return g8.table[a[:, None], a[None, :]] * k + (b[:, None] + b[None, :]) % k
+
+
+def corrupted(g8, k, kind):
+    """g8 x Z_k, unvalidated, broken in row n - 3 (beyond the first slab)
+    through column 0, or with a planted defect in its gyration tensor."""
+    T = product_table(g8, k)
+    n = len(T)
+    r = n - 3
+    if kind == "row-swapped":
+        T[r, [0, n - 1]] = T[r, [n - 1, 0]]
+    elif kind == "cell-overwritten":
+        T[r, 0] = T[r, 5]
+    elif kind == "row-permuted":
+        T[r] = np.roll(T[r], 1)
+    model = FiniteTable(T, validate=False)
+    if kind == "tensor-planted":
+        # gyr[r, 3] sends 5 and 6 to the same image
+        model.G[r, 3, 5] = model.G[r, 3, 6]
+    return model
+
+
+@pytest.mark.parametrize("kind", ["row-swapped", "cell-overwritten",
+                                  "row-permuted", "tensor-planted"])
+@pytest.mark.parametrize("k", [6, 8, 16])  # n = 48, 64, 128
+def test_finite_gather_body_matches_whole_cube(g8, k, kind):
+    n = 8 * k
+    model = corrupted(g8, k, kind)
+    slab = max(CHUNK // (n * n), 1)
+    assert slab < n  # more than one slab
+    cube = np.indices((n, n, n)).reshape(3, -1)
+    want = _axiom_checks(model, *cube) + _finite_extras(model)
+    got = check_axioms(model)
+    assert [(r.name, r.witness) for r in got.results] == [
+        (r.name, r.witness) for r in want]
+    assert got.to_json_lines() == AxiomReport(want).to_json_lines()
+    assert all(r.samples == n ** 3 for r in got.results[:7])
+    # witnesses beyond the first slab: of the x-only checks from the broken
+    # row, of every three-index check from the planted tensor
+    late = {r.name for r in got.failures()
+            if r.witness["elements"][0] >= slab}
+    if kind == "tensor-planted":
+        assert {"axiom-gyroassociativity", "gyration-additivity",
+                "gyration-bijectivity", "gyration-left-division"} <= late
+    else:
+        assert "axiom-identity-right" in late
+
+
+def whole_extras(model):
+    """Bijectivity and left division on the whole cube: the reference."""
+    n, G, T = model.n, model.G, model.table
+    ab = first_hit(np.sort(G, axis=2) != np.arange(n))
+    abz = first_hit(_left_division(model)[T[:, :, None], T[:, T]] != G)
+    return [CheckResult.exact("gyration-bijectivity", n * n,
+                              ab and {"elements": ab[:2], "residual": 1.0}),
+            CheckResult.exact("gyration-left-division", n ** 3,
+                              abz and {"elements": abz, "residual": 1.0})]
+
+
+def test_slabbed_finite_extras_match_whole_cube(g8):
+    # g8 x Z_8 (n = 64, four slabs of 16) whose gyration tensor has one
+    # planted defect: gyr[40, 3] sends 5 and 6 to the same image, so both
+    # checks fail first in the third slab
+    model = FiniteTable(product_table(g8, 8), validate=False)
+    model.G[40, 3, 5] = model.G[40, 3, 6]
+    left = _left_division(model)
+    got = _merged(model, [_finite_extras(model, lo, lo + 16, left)
+                          for lo in range(0, 64, 16)])
+    want = whole_extras(model)
+    assert got.results == want == _finite_extras(model)
+    assert [r.witness["elements"] for r in got.results] == [[40, 3],
+                                                            [40, 3, 5]]
+    assert [r.samples for r in got.results] == [64 ** 2, 64 ** 3]
 
 
 def loop_micro_assoc(model, W, V, spec, directions=256):

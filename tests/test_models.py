@@ -169,6 +169,35 @@ class TestMobius:
         with pytest.raises(CarrierError):
             mobius.op(1.2, 0.1)
 
+    def test_op_and_gyr_bits_on_1e5_draws(self, mobius):
+        # each operand is validated once; the outputs are the formulas' bits
+        rng = np.random.default_rng(11)
+        a, b, z = (mobius.sample(rng, 10 ** 5) for _ in range(3))
+        assert np.array_equal(mobius.op(a, b),
+                              (a + b) / (1.0 + np.conj(a) * b))
+        q = (1.0 + a * np.conj(b)) / (1.0 + np.conj(a) * b)
+        assert np.array_equal(mobius.gyr(a, b, z), q * z)
+        zs = np.stack([z, a, b])
+        assert np.array_equal(mobius.gyr(a, b, zs), q * zs)
+
+    @pytest.mark.parametrize("bad", [
+        1.0, -1j, np.nextafter(1.0, 2.0), complex(0.6, 0.8000000000000002),
+        complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_every_operand_checked_by_modulus(self, mobius, bad):
+        # |a| < 1 decides, as ``contains`` does, in every operand slot
+        assert not mobius.contains(bad)
+        batch = np.array([0.5, bad, 0.1j])
+        for args in ((batch, 0.2), (0.2, batch)):
+            with pytest.raises(CarrierError):
+                mobius.op(*args)
+        for args in ((batch, 0.2, 0.3), (0.2, batch, 0.3), (0.2, 0.3, batch)):
+            with pytest.raises(CarrierError):
+                mobius.gyr(*args)
+        inside = np.nextafter(1.0, 0.0)
+        assert mobius.contains(inside)
+        assert mobius.op(inside, 0.0) == inside
+        assert mobius.gyr(inside, inside * 1j, []).shape == (0,)
+
 
 class TestRadial:
     def test_identity_and_values(self):
