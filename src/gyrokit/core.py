@@ -23,15 +23,17 @@ exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
 a replayable witness, never exceptions.
 
-Sweeps run in consecutive blocks of ``CHUNK`` rows after one full draw,
-and each check's verdicts are merged so that the report equals that of
-one pass over all rows.  Memory is bounded by the draw plus the
-temporaries of one block.  Within a block, each gyration gyr[a, b] is
-applied once to a stack of its arguments, and each sum a + b is formed
-once.  ``check_axioms`` on a finite table reads ``table``, ``inverses``
-and ``G`` directly, in ``G``'s dtype, one slab of about ``CHUNK`` / n^2
-first indices at a time: every check of a slab is one gather of shape
-(slab, n, n), and no index cube is built.
+Continuous sweeps run in consecutive blocks of ``CHUNK`` rows after one
+full draw.  Finite sweeps run one slab of max(``CHUNK`` // n^2, 1) whole
+first indices at a time (``_slabs``).  Each check's verdicts are merged
+so that the report equals that of one pass over all rows, and memory is
+bounded by the draw plus the temporaries of one block.  Within a block,
+each gyration gyr[a, b] is applied once to a stack of its arguments, and
+each sum a + b is formed once.  A finite ``check_identities`` block is
+the index grid of its slab.  ``check_axioms`` on a finite table reads
+``table``, ``inverses`` and ``G`` directly, in ``G``'s dtype: every
+check of a slab is one gather of shape (slab, n, n), and no index grid
+is built.
 """
 
 from __future__ import annotations
@@ -247,27 +249,21 @@ def _triples(model: GyroModel, spec: SampleSpec):
 
 
 def _blocks(model: GyroModel, spec: SampleSpec):
-    """A sweep's triples in consecutive blocks of ``CHUNK`` rows: slices of
-    one ``_triples`` draw, or ranges of the row-major finite index cube.
-    The remainder joins the last block, so no block is shorter."""
+    """A sweep's triples in blocks: consecutive slices of ``CHUNK`` rows of
+    one ``_triples`` draw, the remainder joining the last block so that no
+    block is shorter, or the index grids of the finite cube's ``_slabs``."""
     if model.is_finite:
         n = model.n
-        rows, n2 = n ** 3, n * n
-    else:
-        draw = _triples(model, spec)
-        rows = len(draw[0])
+        for lo, hi in _slabs(n):
+            idx = np.indices((hi - lo, n, n)).reshape(3, -1)
+            idx[0] += lo
+            yield tuple(idx)
+        return
+    draw = _triples(model, spec)
+    rows = len(draw[0])
     cuts = [k * CHUNK for k in range(max(rows // CHUNK, 1))] + [rows]
     for lo, hi in zip(cuts, cuts[1:]):
-        if model.is_finite:
-            # rows lo..hi-1 of the cube, cut from the slab of first indices
-            # they span: contiguous, unlike np.unravel_index's, and faster
-            a0 = lo // n2
-            idx = np.indices((-(-hi // n2) - a0, n, n)).reshape(3, -1)
-            idx = idx[:, lo - a0 * n2:hi - a0 * n2]
-            idx[0] += a0
-            yield tuple(idx)
-        else:
-            yield tuple(t[lo:hi] for t in draw)
+        yield tuple(t[lo:hi] for t in draw)
 
 
 def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:

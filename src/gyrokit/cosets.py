@@ -78,14 +78,16 @@ def is_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
 
 
 def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
-    """Whether gyr[a, h] maps H onto H for all a in G, h in H."""
+    """Whether gyr[a, h] maps H onto H for all a in G, h in H.  On a
+    finite table that is gyr[a, h](H) <= H, as gyrations of a validated
+    table are bijections."""
     ok, witness = is_subgyrogroup(model, H, spec)
     if not ok:
         raise CosetError(f"H is not a subgyrogroup: {witness}")
     if model.is_finite:
         H = _as_finite_set(model, H)
         idx = H.index_array()
-        hit = first_hit(H.moved_by(model.G[:, idx]))
+        hit = first_hit(~H.members()[model.G[:, idx[:, None], idx]].all(-1))
         if hit:
             return False, {"kind": "gyration",
                            "elements": [hit[0], int(idx[hit[1]])]}

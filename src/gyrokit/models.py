@@ -332,20 +332,20 @@ class FiniteTable(GyroModel):
         self.labels = list(labels)
         self.name = name
 
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.nonzero((tbl[a] == 0) & (tbl[:, a] == 0))[0]
-            if hits.size == 1:
-                inv[a] = hits[0]
-            elif validate:
-                raise TableError(
-                    f"element {a} lacks a unique two-sided inverse; "
-                    f"candidates {hits.tolist()}")
-            else:
-                # best effort so that the axiom sweep can run and report
-                left = np.nonzero(tbl[a] == 0)[0]
-                inv[a] = hits[0] if hits.size else (left[0] if left.size else 0)
-        self.inverses = inv
+        # hits[a, b]: a + b = 0 = b + a
+        zero = tbl == 0
+        hits = zero & zero.T
+        count = hits.sum(axis=1)
+        if validate and np.any(count != 1):
+            a = int(np.argmax(count != 1))
+            raise TableError(
+                f"element {a} lacks a unique two-sided inverse; "
+                f"candidates {np.flatnonzero(hits[a]).tolist()}")
+        # unvalidated, a best effort so that the axiom sweep can run and
+        # report: the first two-sided inverse, else the first b with
+        # a + b = 0, else 0
+        self.inverses = inv = np.where(count > 0, hits.argmax(axis=1),
+                                       zero.argmax(axis=1))
         # G[a, b] = -(a + b) + (a + (b + .)), a slab at a time: no n^3
         # temporary is alive beside G
         t = tbl.astype(np.min_scalar_type(n - 1))

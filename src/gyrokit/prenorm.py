@@ -587,7 +587,7 @@ def admissible_hull(model: GyroModel, U, depth: int = 10):
         if 0 not in U:
             raise ValueError("U must contain the identity")
         sets = [_invariant_restriction(model, U)]
-        zero = FiniteSet.singleton_zero(model.n)
+        zero = FiniteSet(model.n, 1)
         while sets[-1] != zero:
             cur = sets[-1]
             V = _greedy_shrink(model, cur, cur, triple=True)
@@ -667,6 +667,10 @@ def admissible_quotient_inclusion_check(model: GyroModel, chain: DyadicChain,
     return CheckResult("quotient-inclusion", True, len(chain) - 1, 0.0)
 
 
+# Boundary probes per pair of a continuous micro-associativity check
+DIRECTIONS = 256
+
+
 def _directions(model: GyroModel, count: int) -> np.ndarray:
     """Deterministic unit directions: roots of unity or a Fibonacci sphere."""
     if np.iscomplexobj(np.asarray(model.zero)):
@@ -684,14 +688,13 @@ def _directions(model: GyroModel, count: int) -> np.ndarray:
 
 
 def micro_assoc_check(model: GyroModel, W, V,
-                      spec: SampleSpec = SampleSpec(100),
-                      directions: int = 256) -> CheckResult:
+                      spec: SampleSpec = SampleSpec(100)) -> CheckResult:
     """Set equality a + (b + V) = (a + b) + V for a, b ranging over W.
 
     Exact set comparison on finite models.  On ball models V and W are
     radial; equality is certified by pulling boundary probes of each
     side back through the other and measuring the worst norm defect
-    over ``directions`` deterministic directions (a sampled Hausdorff
+    over ``DIRECTIONS`` deterministic directions (a sampled Hausdorff
     bound).
     """
     if model.is_finite:
@@ -715,11 +718,11 @@ def micro_assoc_check(model: GyroModel, W, V,
     rng = np.random.default_rng(spec.seed)
     azs = W.sample(model, rng, spec.count)
     bzs = W.sample(model, rng, spec.count)
-    probes = V.radius * _directions(model, directions)
+    probes = V.radius * _directions(model, DIRECTIONS)
     # per pair, the worst defect over all probes; pairs go in batches of
     # about CHUNK (pair, direction) rows, broadcast as (pairs, 1) x (directions)
     defect = np.empty(spec.count)
-    step = max(CHUNK // directions, 1)
+    step = CHUNK // DIRECTIONS
     for lo in range(0, spec.count, step):
         a, b = azs[lo:lo + step, None], bzs[lo:lo + step, None]
         ab = model.op(a, b)
@@ -735,5 +738,5 @@ def micro_assoc_check(model: GyroModel, W, V,
     # <= the next double below 1e-6 is the same test
     out = _verdict(model, "micro-associativity", defect, [azs, bzs],
                    tol=np.nextafter(1e-6, 0))
-    out.samples = spec.count * directions
+    out.samples = spec.count * DIRECTIONS
     return out

@@ -1,9 +1,14 @@
 """Carrier subsets: exact finite sets and radial balls.
 
 Finite subsets are bitmask-backed and support exact elementwise set
-arithmetic A (+) B = {a + b : a in A, b in B}, computed by Cayley-table
-lookups over boolean membership masks.  For the continuous ball models
-only radial (norm-ball) sets are supported; there
+arithmetic A (+) B = {a + b : a in A, b in B}: one boolean matrix
+product of membership rows with the sum matrix of A (``oplus_rows``).
+Symmetry and gyration invariance are membership lookups through
+``inverses`` and ``G``; they need a validated table, whose inversion and
+gyrations are bijections, so that an image inside a set equals it.
+
+For the continuous ball models only radial (norm-ball) sets are
+supported; there
 
     ball(r) (+) ball(s) = ball(radial_add(r, s))
 
@@ -34,13 +39,9 @@ def member_masks(vals, n: int) -> np.ndarray:
 
 def oplus_rows(model: GyroModel, U: "FiniteSet", rows: np.ndarray):
     """U (+) V for every boolean membership row V (the last axis of
-    ``rows``), as one scatter per u in U: exact because each row of a
-    validated table is a permutation."""
-    out = np.zeros_like(rows)
-    # on the transposes the scatter indexes the first axis: faster
-    for row in model.table[U.index_array()]:
-        out.T[row] |= rows.T
-    return out
+    ``rows``), as one boolean product with the matrix A[v, w] = w in U + v:
+    numpy's bool matmul is an exact OR of ANDs."""
+    return rows @ member_masks(model.table[U.index_array()].T, model.n)
 
 
 class FiniteSet:
@@ -108,33 +109,26 @@ class FiniteSet:
         return f"FiniteSet({set(self.indices())})"
 
     def oplus(self, model: GyroModel, other: "FiniteSet") -> "FiniteSet":
-        out = model.table[np.ix_(self.index_array(), other.index_array())]
-        return FiniteSet.of(member_masks(out.ravel(), self.n))
-
-    def inv_image(self, model: GyroModel) -> "FiniteSet":
-        return FiniteSet.of(member_masks(model.inv(self.index_array()), self.n))
+        return FiniteSet.of(oplus_rows(model, self, other.members()))
 
     def gyr_image(self, model: GyroModel, a: int, b: int) -> "FiniteSet":
         return FiniteSet.of(
             member_masks(model.gyr(a, b, self.index_array()), self.n))
 
     def is_symmetric(self, model: GyroModel) -> bool:
-        return self.inv_image(model) == self
-
-    def moved_by(self, G: np.ndarray) -> np.ndarray:
-        """Where the maps z -> G[..., z] do not send the set onto itself."""
-        img = member_masks(G[..., self.index_array()], self.n)
-        return np.any(img != self.members(), axis=-1)
+        """Whether -x lies in the set exactly when x does; on a validated
+        table inversion is a bijection, so this is -U = U."""
+        m = self.members()
+        return np.array_equal(m[model.inverses], m)
 
     def gyr_invariance_witness(self, model: GyroModel):
         """None if gyr[a, b] maps the set onto itself for all a, b; else the
-        first (a, b), in row-major order, whose gyration does not."""
-        hit = first_hit(self.moved_by(model.G))
+        first (a, b), in row-major order, whose gyration does not.  The
+        gyrations of a validated table are bijections, checked at load, so
+        gyr[a, b](U) <= U already gives equality."""
+        hit = first_hit(~self.members()[model.G[..., self.index_array()]]
+                        .all(axis=-1))
         return None if hit is None else tuple(hit)
-
-    @staticmethod
-    def singleton_zero(n: int) -> "FiniteSet":
-        return FiniteSet(n, 1)
 
 
 class _BallSubset:

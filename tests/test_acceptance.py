@@ -195,7 +195,7 @@ def test_criterion_7_micro_associativity(g8, einstein):
         assert r.passed and r.max_residual == 0.0
 
     r = micro_assoc_check(einstein, RadialBall(0.3), RadialBall(0.5),
-                          SampleSpec(count=100, seed=5), directions=256)
+                          SampleSpec(count=100, seed=5))
     assert r.passed
     assert r.max_residual < 1e-6
     _announce(7, f"exact finite set equality; Einstein ball residual "

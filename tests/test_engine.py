@@ -11,13 +11,14 @@ from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      is_L_subgyrogroup, micro_assoc_check)
 from gyrokit.cli import main
 from gyrokit.core import (CHUNK, AxiomReport, CheckResult, SampleSpec,
-                          _axiom_checks, _blocks, _finite_extras,
+                          TableError, _axiom_checks, _blocks, _finite_extras,
                           _identity_checks, _left_division, _merged, _swept,
                           _triples, _verdict, first_hit)
 from gyrokit.prenorm import _directions
+from gyrokit.sets import oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path)
+                      bundled_table_path, load_bundled)
 
 
 def test_tensor_matches_brute_gyr(g8):
@@ -69,6 +70,132 @@ def test_invariance_witness_matches_loop(name, request):
     for mask in masks:
         S = FiniteSet(model.n, int(mask))
         assert S.gyr_invariance_witness(model) == loop_invariance_witness(model, S)
+
+
+def scatter_oplus_rows(model, U, rows):
+    """U (+) V per membership row, one scatter per u in U: the oracle."""
+    out = np.zeros_like(rows)
+    for row in model.table[U.index_array()]:
+        out.T[row] |= rows.T
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 6, 16])  # n = 8, 48, 128
+def test_oplus_rows_matches_scatter(g8, k):
+    model = g8 if k == 1 else FiniteTable(product_table(g8, k))
+    n = model.n
+    rng = np.random.default_rng(k)
+    for density in (0.0, 0.05, 0.3, 1.0):
+        U = FiniteSet.of(rng.random(n) < density)
+        for shape in ((n,), (2, n), (2 ** 5, n)):
+            rows = rng.random(shape) < rng.uniform(0.02, 0.5)
+            got = oplus_rows(model, U, rows)
+            assert got.dtype == bool and got.shape == shape
+            assert np.array_equal(got, scatter_oplus_rows(model, U, rows))
+
+
+@pytest.mark.parametrize("name", ["g8", "g8xz2"])
+def test_finite_set_oplus_matches_brute_force(name, request):
+    model = request.getfixturevalue(name)
+    n = model.n
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        A, B = (FiniteSet(n, int(m)) for m in rng.integers(0, 2 ** n, 2))
+        want = {int(model.op(a, b)) for a in A.indices() for b in B.indices()}
+        assert A.oplus(model, B) == FiniteSet(n, indices=want)
+
+
+def brute_is_symmetric(model, S):
+    """Whether S holds the two-sided inverse of each of its members."""
+    def inverse(x):
+        return next(y for y in range(model.n)
+                    if model.op(x, y) == 0 == model.op(y, x))
+    return all(inverse(x) in S for x in S.indices())
+
+
+@pytest.mark.parametrize("name", ["g8", "g8xz2"])
+def test_is_symmetric_matches_brute_force(name, request):
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    masks = range(2 ** 8) if model.n == 8 else rng.integers(0, 2 ** 16, 300)
+    verdicts = set()
+    for mask in masks:
+        S = FiniteSet(model.n, int(mask))
+        verdicts.add(S.is_symmetric(model))
+        assert S.is_symmetric(model) == brute_is_symmetric(model, S)
+    assert verdicts == {True, False}
+
+
+def test_l_subgyrogroup_witness_matches_loop(g8xz2):
+    # the witness is the first (a, h), a then h ascending, with
+    # gyr[a, h](H) != H
+    failed = 0
+    for sub in brute_subgyrogroups(g8xz2):
+        H = set(sub)
+        want = next(([a, h] for a in range(16) for h in sub
+                     if {brute_gyr(g8xz2, a, h, x) for x in H} != H), None)
+        ok, witness = is_L_subgyrogroup(g8xz2, FiniteSet(16, indices=sub))
+        assert ok == (want is None)
+        if want:
+            failed += 1
+            assert witness == {"kind": "gyration", "elements": want}
+    assert failed
+
+
+def loop_inverses(T, validate):
+    """The per-element inverse search of a table: (inverses, error text)."""
+    n = len(T)
+    inv = np.full(n, -1, dtype=np.int64)
+    for a in range(n):
+        hits = np.nonzero((T[a] == 0) & (T[:, a] == 0))[0]
+        if hits.size == 1:
+            inv[a] = hits[0]
+        elif validate:
+            return None, (f"element {a} lacks a unique two-sided inverse; "
+                          f"candidates {hits.tolist()}")
+        else:
+            left = np.nonzero(T[a] == 0)[0]
+            inv[a] = hits[0] if hits.size else (left[0] if left.size else 0)
+    return inv, None
+
+
+def random_tables(count, seed):
+    """Tables of order <= 8: valid ones with a few cells overwritten, often
+    by 0, and uniform ones with about one 0 per row."""
+    rng = np.random.default_rng(seed)
+    valid = [load_bundled(name).table for name in ("z4", "klein4", "g8")]
+    for i in range(count):
+        if i % 2:
+            T = valid[int(rng.integers(3))].copy()
+            n = len(T)
+            for _ in range(int(rng.integers(1, 4))):
+                a, b = rng.integers(0, n, 2)
+                T[a, b] = 0 if rng.random() < 0.6 else rng.integers(n)
+        else:
+            n = int(rng.integers(1, 9))
+            T = rng.integers(1, n, (n, n)) if n > 1 else np.zeros((1, 1), int)
+            T[rng.random((n, n)) < 1.2 / n] = 0
+        yield T
+
+
+def test_inverse_detection_matches_loop():
+    errors = 0
+    for T in random_tables(1000, seed=5):
+        for validate in (False, True):
+            want, text = loop_inverses(T, validate)
+            try:
+                got = FiniteTable(T, validate=validate).inverses
+            except TableError as e:
+                if "inverse" in str(e):
+                    assert str(e) == text
+                    errors += 1
+                    continue
+                got = None  # rejected later, by the axiom sweep
+            assert text is None
+            if got is not None:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+    assert errors > 100
 
 
 def loop_orbit_units(model):
