@@ -215,8 +215,9 @@ def cmd_hull(args) -> AxiomReport:
     spec = SampleSpec(args.samples, args.seed)
     rep = validate_chain(model, chain, spec)
     _, wl = is_L_subgyrogroup(model, tail, spec)
-    rep.results += [CheckResult.exact("tail-l-subgyrogroup",
-                                      1 if model.is_finite else args.samples, wl),
+    # the finite test is exhaustive: gyr[a, h] for every a and h in H
+    samples = model.n * len(tail) if model.is_finite else args.samples
+    rep.results += [CheckResult.exact("tail-l-subgyrogroup", samples, wl),
                     admissible_quotient_inclusion_check(model, chain, tail)]
     rep.records.append({"check": "hull-chain", "value": chain.to_dict()})
     return rep
