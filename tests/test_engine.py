@@ -126,20 +126,32 @@ def test_is_symmetric_matches_brute_force(name, request):
     assert verdicts == {True, False}
 
 
+def loop_l_witness(model, H):
+    """The first (a, h), a then h ascending, with gyr[a, h](H) != H."""
+    return next(([a, h] for a in range(model.n) for h in H.indices()
+                 if H.gyr_image(model, a, h) != H), None)
+
+
 def test_l_subgyrogroup_witness_matches_loop(g8xz2):
-    # the witness is the first (a, h), a then h ascending, with
-    # gyr[a, h](H) != H
     failed = 0
     for sub in brute_subgyrogroups(g8xz2):
-        H = set(sub)
-        want = next(([a, h] for a in range(16) for h in sub
-                     if {brute_gyr(g8xz2, a, h, x) for x in H} != H), None)
-        ok, witness = is_L_subgyrogroup(g8xz2, FiniteSet(16, indices=sub))
+        H = FiniteSet(16, indices=sub)
+        want = loop_l_witness(g8xz2, H)
+        ok, witness = is_L_subgyrogroup(g8xz2, H)
         assert ok == (want is None)
         if want:
             failed += 1
             assert witness == {"kind": "gyration", "elements": want}
     assert failed
+    # a planted image: gyr[5, 3] sends 1 outside H = {0, 1, 2, 3}, so the
+    # witness names h = 3, not the moved element 1
+    model = FiniteTable(g8xz2.table)
+    H = FiniteSet(16, indices=range(4))
+    assert is_L_subgyrogroup(model, H) == (True, None)
+    model.G[5, 3, 1] = 4
+    assert loop_l_witness(model, H) == [5, 3]
+    assert is_L_subgyrogroup(model, H) == (
+        False, {"kind": "gyration", "elements": [5, 3]})
 
 
 def loop_inverses(T, validate):
