@@ -456,20 +456,17 @@ def _left_division(model: GyroModel) -> np.ndarray:
     return left
 
 
-def _finite_extras(model: GyroModel, lo: int = 0, hi: int | None = None,
-                   left=None) -> list[CheckResult]:
+def _finite_extras(model: GyroModel, lo: int, hi: int,
+                   left) -> list[CheckResult]:
     """Exact finite-only checks: gyration bijectivity and left-division,
-    on the first indices lo <= a < hi (default all).
+    on the first indices lo <= a < hi.
 
     ``gyration-left-division`` solves (a+b) + w = a + (b+z) for w with
     the first-occurrence inverse of each Cayley row and compares against
     the gyration formula; the two agree exactly when gyroassociativity
-    holds with a unique solution.  ``left`` is ``_left_division(model)``,
-    built when not given.
+    holds with a unique solution.  ``left`` is ``_left_division(model)``.
     """
     n, G = model.n, model.G
-    hi = n if hi is None else hi
-    left = _left_division(model) if left is None else left
     # gathers stay in G's small dtype
     Ta, Ga = model.table[lo:hi].astype(G.dtype), G[lo:hi]
     return [_slab_verdict("gyration-bijectivity",

@@ -27,6 +27,7 @@ from .core import (
     _gather,
     _slabs,
     check_axioms,
+    first_hit,
     read_json,
 )
 
@@ -307,7 +308,8 @@ class FiniteTable(GyroModel):
     load-time ``check_axioms`` reads ``table``, ``inverses`` and ``G`` in
     the same slabs, so beside ``G`` it needs only one slab's gathers.
     Public methods check carrier membership; the finite algorithms index
-    ``table``, ``inverses`` and ``G`` directly.
+    ``table``, ``inverses`` and ``G`` directly; gyration invariance reads
+    the orbit partition ``gyr_orbits``, exact on a validated table.
     """
 
     is_finite = True
@@ -414,18 +416,34 @@ class FiniteTable(GyroModel):
         return bool(np.all(self.G == np.arange(self.n)))
 
     @functools.cached_property
+    def gyr_orbits(self) -> np.ndarray:
+        """Per element, the least of its orbit under the group the gyrations
+        generate: the reach of z -> gyr[a, b](z), marked a slab of ``G`` at a
+        time and squared until closed (an orbit, as gyrations permute)."""
+        n = self.n
+        reach = np.eye(n, dtype=bool)
+        for lo, hi in _slabs(n):
+            reach.ravel()[np.arange(0, n * n, n) + self.G[lo:hi]] = True
+        while not np.array_equal(closed := reach @ reach, reach):
+            reach = closed
+        return reach.argmax(axis=1)
+
+    @functools.cached_property
     def orbit_labels(self) -> np.ndarray:
-        """Per element, the least element of its unit: the closure under
-        inverse and all gyrations.  Removing whole units keeps a set
-        symmetric and gyration-invariant."""
-        lab = np.arange(self.n, dtype=self.G.dtype)
-        while True:
-            low = np.minimum.reduce(
-                [lab, lab[self.inverses], lab[self.G].min(axis=(0, 1))])
-            low = low[low]
-            if np.array_equal(low, lab):
-                return lab
-            lab = low
+        """Per element, the least of its unit, orbit(z) | orbit(-z) (the
+        gyrations are automorphisms): the closure under inverse and all
+        gyrations.  Removing whole units keeps a set symmetric and invariant."""
+        orb = self.gyr_orbits
+        return np.minimum(orb, orb[self.inverses])
+
+    def invariance_witness(self, values):
+        """None if the array ``values`` is constant on each ``gyr_orbits``
+        orbit, else the first [a, b, z] with values[G[a, b, z]] != values[z]."""
+        if np.array_equal(values[self.gyr_orbits], values):
+            return None
+        for lo, hi in _slabs(self.n):
+            if hit := first_hit(values[self.G[lo:hi]] != values):
+                return [hit[0] + lo] + hit[1:]
 
     def to_dict(self) -> dict:
         return {"order": self.n, "labels": self.labels,

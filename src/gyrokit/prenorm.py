@@ -266,7 +266,6 @@ class DyadicFamily:
             num = np.where(hits.any(axis=0), hits.argmax(axis=0) + 1, scale)
             self._num = np.where(self.tail.members(), 0, num).astype(
                 np.min_scalar_type(2 * scale))
-            self._grid = [Fraction(int(m), scale) for m in self._num]
             wide = self._num[model.table[model.inverses]]  # num[-x + y]
             self._rho = wide + wide.T
         else:
@@ -295,12 +294,12 @@ class DyadicFamily:
         """Exact N per element (finite models)."""
         if self.chain.kind != "finite":
             raise ChainError("value grids exist for finite models only")
-        return list(self._grid)
+        return [Fraction(int(m), self.scale) for m in self._num]
 
     def prenorm(self, x):
         """N(x): exact Fraction (finite) or float (radial)."""
         if self.chain.kind == "finite":
-            return self._grid[int(x)]
+            return Fraction(int(self._num[int(x)]), self.scale)
         return self.prenorm_batch(x)
 
     def prenorm_batch(self, xs):
@@ -402,12 +401,12 @@ def coset_invariant_N_check(model: GyroModel, family: DyadicFamily,
         H = _as_finite_set(model, H)
         if H != family.tail:
             raise ValueError("H must be the tail of the family's chain")
-        idx, num, N = H.index_array(), family._num, family._grid
+        idx, num, N = H.index_array(), family._num, family.prenorm
         hit = first_hit(num[model.table[:, idx]] != num[:, None])
         if hit:
             x, h = hit[0], int(idx[hit[1]])
-            hit = {"elements": [x, h], "n_xh": str(N[model.table[x, h]]),
-                   "n_x": str(N[x])}
+            hit = {"elements": [x, h], "n_xh": str(N(model.table[x, h])),
+                   "n_x": str(N(x))}
         return CheckResult.exact("coset-invariance", model.n * len(H), hit)
     # radial tails are {0}: N(x + 0) = N(x) holds identically
     xs = model.sample(np.random.default_rng(0), 256)
@@ -462,7 +461,7 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
     out = [family.monotone_check()]
     if model.is_finite:
         # exact comparisons on the numerators 2^depth N(x)
-        n, T, num, N = model.n, model.table, family._num, family._grid
+        n, T, num, N = model.n, model.table, family._num, family.prenorm
         ok = bool(num[0] == 0)
         out.append(CheckResult("prenorm-zero", ok, 1, 0.0 if ok else 1.0))
         hit = first_hit(num[model.inverses] != num)
@@ -471,10 +470,10 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
         hit = first_hit(num[T] > num[:, None] + num)
         if hit:
             x, y = hit
-            hit = {"elements": hit, "n_xy": str(N[T[x, y]]),
-                   "bound": str(N[x] + N[y])}
+            hit = {"elements": hit, "n_xy": str(N(T[x, y])),
+                   "bound": str(N(x) + N(y))}
         out.append(CheckResult.exact("prenorm-subadditivity", n * n, hit))
-        hit = first_hit(num[model.G] != num)
+        hit = model.invariance_witness(num)
         out.append(CheckResult.exact("prenorm-gyr-invariance", n ** 3,
                                      hit and {"elements": hit}))
         k = np.arange(family.depth + 1)
@@ -538,23 +537,26 @@ def _greedy_shrink(model: GyroModel, start: FiniteSet, target: FiniteSet,
                    triple: bool) -> FiniteSet:
     """Largest-by-greedy V <= start with V+V <= target (or V+(V+V) <= target).
 
-    Offending elements are removed largest index first, together with
-    their symmetry/gyration unit, until the law holds.  Deterministic;
-    0 is never removed.
+    From the units inside ``start`` (``orbit_labels``, exact on a validated
+    table), the largest element of a bad pair (triple) goes with its unit
+    until the law holds.  With S = V+V, a is in a bad triple iff a + s
+    leaves the target for an s in S, and b, c iff some a sends b + c out;
+    b, c make a bad pair iff b + c leaves it.  0 is never removed.
     """
-    T, lab = model.table, model.orbit_labels
+    T, lab, ok = model.table, model.orbit_labels, target.members()
     V = _invariant_restriction(model, start).members()
-    in_target = target.members()
     while True:
-        idx = np.flatnonzero(V)
-        grid = np.meshgrid(*[idx] * (3 if triple else 2), indexing="ij")
-        vals = T[grid[0], T[grid[1], grid[2]]] if triple else T[grid[0], grid[1]]
-        bad = ~in_target[vals]
-        involved = np.concatenate([g[bad] for g in grid])
-        if involved.size == 0:
+        v = np.flatnonzero(V)
+        first, bad = False, ~ok
+        if triple:
+            out = ~ok[T[v]]  # out[a, s]: a + s leaves the target
+            first = (out & oplus_rows(model, FiniteSet.of(V), V)).any(axis=1)
+            bad = out.any(axis=0)
+        pairs = bad[T[np.ix_(v, v)]]
+        hit = v[first | pairs.any(axis=1) | pairs.any(axis=0)]
+        if not hit.size:
             return FiniteSet.of(V)
-        worst = int(np.max(involved[involved != 0]))
-        V &= lab != lab[worst]
+        V &= lab != lab[hit[-1]]
 
 
 def shrink(model: GyroModel, U):
@@ -566,8 +568,7 @@ def shrink(model: GyroModel, U):
     if model.is_finite:
         if 0 not in U:
             raise ValueError("U must contain the identity")
-        start = _invariant_restriction(model, U)
-        return _greedy_shrink(model, start, U, triple=False)
+        return _greedy_shrink(model, U, U, triple=False)
     if not isinstance(U, RadialBall):
         raise ValueError("continuous shrinking supports radial balls only")
     return RadialBall(radial_half(U.radius, model.c))
@@ -586,13 +587,12 @@ def admissible_hull(model: GyroModel, U, depth: int = 10):
     if model.is_finite:
         if 0 not in U:
             raise ValueError("U must contain the identity")
+        lab = model.orbit_labels
         sets = [_invariant_restriction(model, U)]
-        zero = FiniteSet(model.n, 1)
-        while sets[-1] != zero:
+        while len(sets[-1]) > 1:
             cur = sets[-1]
             V = _greedy_shrink(model, cur, cur, triple=True)
             if V == cur:
-                lab = model.orbit_labels
                 worst = cur.index_array()[-1]  # cur holds 0 and more
                 V = FiniteSet.of(cur.members() & (lab != lab[worst]))
             sets.append(V)

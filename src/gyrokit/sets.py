@@ -3,9 +3,10 @@
 Finite subsets are bitmask-backed and support exact elementwise set
 arithmetic A (+) B = {a + b : a in A, b in B}: one boolean matrix
 product of membership rows with the sum matrix of A (``oplus_rows``).
-Symmetry and gyration invariance are membership lookups through
-``inverses`` and ``G``; they need a validated table, whose inversion and
-gyrations are bijections, so that an image inside a set equals it.
+Symmetry is a membership lookup through ``inverses``, and gyration
+invariance one test against the table's orbit partition ``gyr_orbits``;
+both need a validated table, whose inversion and gyrations are
+bijections.
 
 For the continuous ball models only radial (norm-ball) sets are
 supported; there
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GyroModel, first_hit
+from .core import GyroModel
 from .models import radial_add
 
 __all__ = ["FiniteSet", "RadialBall", "AxisSet", "OriginSet", "parse_subset"]
@@ -123,12 +124,10 @@ class FiniteSet:
 
     def gyr_invariance_witness(self, model: GyroModel):
         """None if gyr[a, b] maps the set onto itself for all a, b; else the
-        first (a, b), in row-major order, whose gyration does not.  The
-        gyrations of a validated table are bijections, checked at load, so
-        gyr[a, b](U) <= U already gives equality."""
-        hit = first_hit(~self.members()[model.G[..., self.index_array()]]
-                        .all(axis=-1))
-        return None if hit is None else tuple(hit)
+        first (a, b), row-major, whose gyration does not: the (a, b) of the
+        ``invariance_witness`` of the membership mask, as gyrations biject."""
+        hit = model.invariance_witness(self.members())
+        return None if hit is None else tuple(hit[:2])
 
 
 class _BallSubset:

@@ -1,7 +1,10 @@
 """The cached gyration tensor, the array engine and the blocked sweeps
 against loop and whole-array oracles."""
 
+import functools
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from gyrokit.core import (CHUNK, AxiomReport, CheckResult, SampleSpec,
                           TableError, _axiom_checks, _blocks, _finite_extras,
                           _identity_checks, _left_division, _merged, _swept,
                           _triples, _verdict, first_hit)
-from gyrokit.prenorm import _directions
+from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
+                             _invariant_restriction, admissible_hull,
+                             build_dyadic_family, prenorm_laws_check, shrink)
 from gyrokit.sets import oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
@@ -352,7 +357,8 @@ def test_row_swapped_table_blocks_match_whole_cube(g8):
     assert len(list(_blocks(model, SampleSpec()))) == 4
     cube = np.indices((n, n, n)).reshape(3, -1)
     want = AxiomReport(_axiom_checks(model, *cube)
-                       + _finite_extras(model)).to_json_lines()
+                       + _finite_extras(model, 0, model.n,
+                                        _left_division(model))).to_json_lines()
     assert check_axioms(model).to_json_lines() == want
     ids = check_identities(model)
     assert ids.to_json_lines() == whole_report(model, _identity_checks, *cube)
@@ -399,7 +405,8 @@ def test_finite_gather_body_matches_whole_cube(g8, k, kind):
     slab = max(CHUNK // (n * n), 1)
     assert slab < n  # more than one slab
     cube = np.indices((n, n, n)).reshape(3, -1)
-    want = _axiom_checks(model, *cube) + _finite_extras(model)
+    want = _axiom_checks(model, *cube) + _finite_extras(
+        model, 0, model.n, _left_division(model))
     got = check_axioms(model)
     assert [(r.name, r.witness) for r in got.results] == [
         (r.name, r.witness) for r in want]
@@ -437,7 +444,7 @@ def test_slabbed_finite_extras_match_whole_cube(g8):
     got = _merged(model, [_finite_extras(model, lo, lo + 16, left)
                           for lo in range(0, 64, 16)])
     want = whole_extras(model)
-    assert got.results == want == _finite_extras(model)
+    assert got.results == want == _finite_extras(model, 0, model.n, left)
     assert [r.witness["elements"] for r in got.results] == [[40, 3],
                                                             [40, 3, 5]]
     assert [r.samples for r in got.results] == [64 ** 2, 64 ** 3]
@@ -523,3 +530,175 @@ def test_batched_micro_assoc_witness_is_first_worst_pair(cls, kw, factors,
     assert got.witness["elements"][0] == model.to_payload(a[first])
     if factors[first] == 0.0:
         assert got.max_residual == V.radius
+
+
+# ------------------------------------------- orbit partition and shrink
+
+@functools.cache
+def product_model(k):
+    """g8 x Z_k, loaded once per test session."""
+    return FiniteTable(product_table(load_bundled("g8"), k), name=f"g8xz{k}")
+
+
+def bfs_orbits(model):
+    """Per element, the least element reached from it through the
+    permutations of ``gyr_table``, by breadth-first search."""
+    n = model.n
+    perms = [model.gyr_table(a, b) for a in range(n) for b in range(n)]
+    lab = np.full(n, -1)
+    for x in range(n):
+        if lab[x] < 0:
+            lab[x], frontier = x, [x]
+            while frontier:
+                y = frontier.pop()
+                for w in {int(p[y]) for p in perms}:
+                    if lab[w] < 0:
+                        lab[w] = x
+                        frontier.append(w)
+    return lab
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_gyr_orbits_match_permutation_bfs(k):
+    model = product_model(k)
+    want = bfs_orbits(model)
+    assert np.array_equal(model.gyr_orbits, want)
+    assert not np.array_equal(want, np.arange(model.n))  # orbits merge
+    assert np.array_equal(model.orbit_labels,
+                          np.minimum(want, want[model.inverses]))
+
+
+def test_gyr_orbits_close_a_planted_cycle(g8):
+    # a planted gyration z -> z + 2 mod 16 on g8 x Z_2 reaches two steps
+    # at a time, so the orbits {evens} and {odds} need repeated squaring
+    model = FiniteTable(product_table(g8, 2))
+    model.G[5, 3] = (np.arange(16) + 2) % 16
+    assert np.array_equal(model.gyr_orbits, bfs_orbits(model))
+    assert np.array_equal(model.gyr_orbits, np.arange(16) % 2)
+
+
+@pytest.mark.parametrize("k", [1, 6, 16])  # n = 8, 48, 128
+def test_invariance_witness_matches_gathers(k):
+    # orbit unions, every other one perturbed in one or two elements; the
+    # n^2 |U| and n^3 gathers that decided invariance before are the oracles
+    model = product_model(k)
+    n, G, orb = model.n, model.G, model.gyr_orbits
+    reps = np.unique(orb)
+    rng = np.random.default_rng(k)
+    verdicts = []
+    for i in range(200):
+        m = np.isin(orb, reps[rng.random(reps.size) < rng.uniform(0.1, 0.9)])
+        if i % 2:
+            m[rng.integers(n, size=rng.integers(1, 3))] ^= True
+        S = FiniteSet.of(m)
+        want = first_hit(~m[G[..., S.index_array()]].all(-1))
+        assert S.gyr_invariance_witness(model) == (want and tuple(want))
+        want = first_hit(m[G] != m)
+        assert model.invariance_witness(m) == want
+        verdicts.append(want is None)
+    assert 0 < sum(verdicts) < 200
+
+
+def lift(k, S, Z):
+    """The g8 x Z_k indices of S x Z."""
+    return [g * k + z for g in S for z in Z]
+
+
+def test_invariance_witness_finds_planted_numerator_defect():
+    # the prenorm numerators of g8 x Z_16 (n = 128, slabs of 4 first
+    # indices) on [G, S4 x Z_16, S2 x Z_16, S2 x {0}, {0}], with one
+    # numerator raised on an element that g8's gyrations move
+    k = 16
+    model = product_model(k)
+    n, G = model.n, model.G
+    chain = DyadicChain([FiniteSet(n, indices=s) for s in (
+        range(n), lift(k, [0, 1, 4, 5], range(k)), lift(k, [0, 1], range(k)),
+        lift(k, [0, 1], [0]), [0])], "admissible")
+    family = build_dyadic_family(model, chain, depth=4)
+    assert model.invariance_witness(family._num) is None
+    z = int(np.flatnonzero(model.gyr_orbits != np.arange(n))[0])
+    family._num[z] += 1
+    want = first_hit(family._num[G] != family._num)
+    assert want[0] >= 4  # beyond the first slab
+    assert model.invariance_witness(family._num) == want
+    rec = {r.name: r for r in prenorm_laws_check(model, family)}[
+        "prenorm-gyr-invariance"]
+    assert (rec.passed, rec.samples, rec.witness) == (
+        False, n ** 3, {"elements": want})
+
+
+def meshgrid_greedy(model, start, target, triple):
+    """The greedy shrink over the |V|^2 or |V|^3 index meshgrid: the oracle."""
+    T, lab = model.table, model.orbit_labels
+    V = _invariant_restriction(model, start).members()
+    in_target = target.members()
+    while True:
+        idx = np.flatnonzero(V)
+        grid = np.meshgrid(*[idx] * (3 if triple else 2), indexing="ij")
+        vals = T[grid[0], T[grid[1], grid[2]]] if triple else T[grid[0], grid[1]]
+        involved = np.concatenate([g[~in_target[vals]] for g in grid])
+        if involved.size == 0:
+            return FiniteSet.of(V)
+        V &= lab != lab[int(np.max(involved[involved != 0]))]
+
+
+def meshgrid_hull(model, U, depth):
+    """``admissible_hull`` on the meshgrid greedy: the oracle."""
+    lab = model.orbit_labels
+    sets = [_invariant_restriction(model, U)]
+    while sets[-1] != FiniteSet(model.n, 1):
+        cur = sets[-1]
+        V = meshgrid_greedy(model, cur, cur, True)
+        if V == cur:
+            V = FiniteSet.of(cur.members() & (lab != lab[cur.index_array()[-1]]))
+        sets.append(V)
+    return sets + sets[-1:] * (depth + 1 - len(sets))
+
+
+def symmetric_group(d):
+    """The Cayley table of S_d on its permutations in lexicographic order,
+    (p q)(i) = p(q(i)): a group, so each unit is {x, -x}."""
+    perms = list(itertools.permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteTable([[index[tuple(p[i] for i in q)] for q in perms]
+                        for p in perms], name=f"s{d}")
+
+
+@pytest.mark.parametrize("k,count", [(1, 40), (2, 20), (6, 6), (16, 2),
+                                     ("s4", 300)])
+def test_shrink_and_hull_match_meshgrid_greedy(k, count):
+    # S_4 is where the greedy step's three ways into a bad triple, and the
+    # column of a bad pair, decide which unit goes first
+    model = symmetric_group(4) if k == "s4" else product_model(k)
+    n = model.n
+    rng = np.random.default_rng(7)
+    sizes = set()
+    for _ in range(count):
+        A, B = (FiniteSet.of((rng.random(n) < rng.uniform(lo, 1.0))
+                             | (np.arange(n) == 0)) for lo in (0.3, 0.5))
+        for triple in (False, True):
+            assert _greedy_shrink(model, A, B, triple) == meshgrid_greedy(
+                model, A, B, triple)
+        assert shrink(model, B) == meshgrid_greedy(model, B, B, False)
+        chain, tail = admissible_hull(model, B, depth=6)
+        assert chain.sets == meshgrid_hull(model, B, 6)
+        assert tail == chain.sets[-1]
+        sizes.add(len(chain.sets[1]))
+    assert max(sizes) > 1  # some hulls descend in more than one step
+
+
+def test_invariance_and_hull_peak_below_cube(g8):
+    # g8 x Z_16 (n = 128): on a fresh table, the orbit partition, the
+    # whole-carrier invariance verdict and the hull stay below one
+    # n^3 byte array (G itself), measured by tracemalloc
+    full = FiniteSet.of(np.ones(128, dtype=bool))
+    for run in (full.gyr_invariance_witness,
+                lambda model: admissible_hull(model, full)):
+        model = FiniteTable(product_table(g8, 16))
+        tracemalloc.start()
+        try:
+            run(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.n ** 3

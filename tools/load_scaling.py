@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Load time, prenorm time and peak memory of finite tables as the order
-grows.
+"""Stage times and peak memory of finite tables as the order grows.
 
     python3 tools/load_scaling.py
 
 For each k in ``FACTORS`` builds the direct product g8 x Z_k (order
 n = 8k) and loads it with ``FiniteTable``, which computes the gyration
 tensor and runs the exhaustive axiom sweep.  In the same process it then
-times ``build_dyadic_family`` to depth ``DEPTH`` (which validates the
-chain) and ``prenorm_laws_check`` on the fixed admissible chain
+times the gyration-orbit partition ``gyr_orbits``, ``admissible_hull`` of
+the whole carrier to depth ``DEPTH``, and ``build_dyadic_family`` to that
+depth (which validates the chain) and ``prenorm_laws_check`` on the fixed
+admissible chain
 
     [G, S4 x Z_k, S2 x Z_k, S2 x {0}, {0}]
 
@@ -35,12 +36,12 @@ DEPTH = 10
 S4, S2 = [0, 1, 4, 5], [0, 1]  # the g8 sets of tests/golden/chains/g8-adm.json
 
 # run in a fresh process with argv[1] = k; prints {"n", "load_s",
-# "family_s", "laws_s", "peak_mib"}
+# "orbits_s", "hull_s", "family_s", "laws_s", "peak_mib"}
 CHILD = f"""
 import json, resource, sys, time
 import numpy as np
-from gyrokit import (FiniteTable, build_dyadic_family, chain_load,
-                     prenorm_laws_check)
+from gyrokit import (FiniteSet, FiniteTable, admissible_hull,
+                     build_dyadic_family, chain_load, prenorm_laws_check)
 from gyrokit.models import table_load
 import importlib.resources
 
@@ -50,25 +51,29 @@ k = int(sys.argv[1])
 i = np.arange(8 * k)
 a, b = i // k, i % k
 T = g8.table[a[:, None], a[None, :]] * k + (b[:, None] + b[None, :]) % k
-t0 = time.perf_counter()
-model = FiniteTable(T, name=f"g8xz{{k}}")
-load_s = time.perf_counter() - t0
+out = {{"n": 8 * k}}
+
+def timed(stage, f):
+    t0 = time.perf_counter()
+    r = f()
+    out[stage + "_s"] = time.perf_counter() - t0
+    return r
 
 def lift(S, Z):
     return [g * k + z for g in S for z in Z]
 
+model = timed("load", lambda: FiniteTable(T, name=f"g8xz{{k}}"))
+timed("orbits", lambda: model.gyr_orbits)
+full = FiniteSet(8 * k, (1 << 8 * k) - 1)
+timed("hull", lambda: admissible_hull(model, full, depth={DEPTH}))
 chain = chain_load(model, {{"flavor": "admissible", "sets": [
     list(range(8 * k)), lift({S4}, range(k)), lift({S2}, range(k)),
     lift({S2}, [0]), [0]]}})
-t0 = time.perf_counter()
-family = build_dyadic_family(model, chain, depth={DEPTH})
-family_s = time.perf_counter() - t0
-t0 = time.perf_counter()
-prenorm_laws_check(model, family)
-laws_s = time.perf_counter() - t0
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{"n": 8 * k, "load_s": load_s, "family_s": family_s,
-                  "laws_s": laws_s, "peak_mib": peak}}))
+family = timed("family", lambda: build_dyadic_family(model, chain,
+                                                     depth={DEPTH}))
+timed("laws", lambda: prenorm_laws_check(model, family))
+out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
 """
 
 
@@ -81,13 +86,14 @@ def load(k: int) -> dict:
 
 
 def main() -> int:
-    print(f"{'table':<10}{'n':>6}{'load s':>10}{'family s':>10}"
-          f"{'laws s':>10}{'peak MiB':>11}")
+    cols = ["load", "orbits", "hull", "family", "laws"]
+    print(f"{'table':<10}{'n':>6}" + "".join(f"{c + ' s':>10}" for c in cols)
+          + f"{'peak MiB':>11}")
     for k in FACTORS:
         r = load(k)
-        print(f"{'g8xz' + str(k):<10}{r['n']:>6}{r['load_s']:>10.2f}"
-              f"{r['family_s']:>10.2f}{r['laws_s']:>10.2f}"
-              f"{r['peak_mib']:>11.0f}")
+        print(f"{'g8xz' + str(k):<10}{r['n']:>6}"
+              + "".join(f"{r[c + '_s']:>10.2f}" for c in cols)
+              + f"{r['peak_mib']:>11.0f}")
     return 0
 
 

@@ -28,7 +28,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gyrokit.core import TableError
+from gyrokit.cosets import is_L_subgyrogroup, is_subgyrogroup
 from gyrokit.models import FiniteTable, cyclic_table, klein_table
+from gyrokit.sets import FiniteSet
 
 DEST = Path(__file__).resolve().parent.parent / "src" / "gyrokit" / "tables"
 
@@ -197,33 +199,10 @@ def transversal_table(sub, reps):
 
 def find_l_subgyrogroups(model):
     """All L-subgyrogroups, by brute force over subsets containing 0."""
-    n = model.n
-    found = []
-    for r in range(n):
-        for extra in itertools.combinations(range(1, n), r):
-            subset = (0,) + extra
-            s = set(subset)
-            if any(model.inv(x) not in s for x in subset):
-                continue
-            if any(model.op(x, y) not in s for x in subset for y in subset):
-                continue
-            is_l = all(
-                {int(model.gyr(a, h, x)) for x in subset} == s
-                for a in range(n) for h in subset)
-            if is_l:
-                found.append(subset)
-    return found
-
-
-def gyr_invariant_subsets(model, subsets):
-    n = model.n
-    out = []
-    for subset in subsets:
-        s = set(subset)
-        if all({int(model.gyr(a, b, x)) for x in subset} == s
-               for a in range(n) for b in range(n)):
-            out.append(subset)
-    return out
+    subsets = ((0,) + extra for r in range(model.n)
+               for extra in itertools.combinations(range(1, model.n), r))
+    return [s for s in subsets if is_subgyrogroup(model, s)[0]
+            and is_L_subgyrogroup(model, s)[0]]
 
 
 def scan(group, sub, max_order=16, limit=200_000):
@@ -250,7 +229,8 @@ def scan(group, sub, max_order=16, limit=200_000):
             continue
         lsubs = find_l_subgyrogroups(model)
         proper = [s for s in lsubs if 1 < len(s) < model.n]
-        invariant = gyr_invariant_subsets(model, proper)
+        invariant = [s for s in proper if FiniteSet(model.n, indices=s)
+                     .gyr_invariance_witness(model) is None]
         yield table, proper, invariant
 
 
