@@ -198,6 +198,20 @@ def test_malformed_input_exits_two(argv, kind, doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_range_subset_exits_two(capsys):
+    assert main(["cosets", "--model", Z4, "--subset", "0,9"]) == 2
+    assert capsys.readouterr().err == "error: index 9 out of range 0..3\n"
+
+
+@pytest.mark.parametrize("member", [4, -2])
+def test_out_of_range_chain_member_exits_two(member, tmp_path, capsys):
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"flavor": "weak", "sets": [[0, 1, member]]}))
+    assert main(["metric", "--model", Z4, "--chain", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: chain rejected: index {member} out of range 0..3\n")
+
+
 BAD_NUMBERS = [
     (["check", "--model", "mobius", "--eps", "-1"], "--eps"),
     (["check", "--model", "mobius", "--eps", "nan"], "--eps"),

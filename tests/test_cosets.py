@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gyrokit import (CosetError, EinsteinModel, FiniteSet, MobiusModel,
-                     SampleSpec, homogeneity_translate,
+from gyrokit import (CosetError, EinsteinModel, FiniteSet, FiniteTable,
+                     MobiusModel, SampleSpec, homogeneity_translate,
                      is_L_subgyrogroup, is_subgyrogroup, left_cosets,
                      parse_subset, same_coset)
 from gyrokit.sets import AxisSet, OriginSet, RadialBall
@@ -145,6 +145,23 @@ class TestCosetPartition:
         bad = next(s for s in brute_subgyrogroups(g8) if s not in lsubs)
         with pytest.raises(CosetError, match="L-subgyrogroup"):
             left_cosets(g8, FiniteSet(8, indices=bad))
+
+    @pytest.mark.parametrize("table,hidx,message", [
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 2]], [0, 2],
+         "coset (2,) has size 1 != |H|"),
+        ([[0, 1, 2], [2, 1, 0], [2, 2, 0]], [0, 2],
+         "cosets do not cover the carrier"),
+        ([[0, 1, 2], [1, 0, 0], [2, 1, 0]], [0, 1], "cosets overlap: (1, 2)"),
+        ([[0, 1, 2, 3], [2, 3, 0, 1], [2, 2, 0, 0], [1, 2, 3, 0]], [0, 2],
+         "(a+h)+H != a+H at a=3, h=0; H is not coset-stable"),
+    ])
+    def test_unvalidated_table_refusals(self, table, hidx, message):
+        # magmas that are not gyrogroups, where H passes the L-subgyrogroup
+        # test: each of the partition's own checks refuses one of them
+        model = FiniteTable(table, validate=False)
+        with pytest.raises(CosetError) as err:
+            left_cosets(model, FiniteSet(model.n, indices=hidx))
+        assert str(err.value) == message
 
     def test_projection_properties(self, g8):
         H = FiniteSet(8, indices=[0, 1, 4, 5])

@@ -58,6 +58,13 @@ def test_mask_round_trip_and_range():
         FiniteSet(4, 1 << 4)
 
 
+@pytest.mark.parametrize("indices,bad", [([4], 4), ([-1], -1),
+                                         ([0, 9, -1], 9)])
+def test_index_range_error_names_first_bad_index(indices, bad):
+    with pytest.raises(ValueError, match=rf"^index {bad} out of range 0\.\.3$"):
+        FiniteSet(4, indices=indices)
+
+
 def loop_invariance_witness(model, S):
     """The first (a, b), row-major, with gyr[a, b](S) != S: the loop oracle."""
     for a in range(model.n):
