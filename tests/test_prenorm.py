@@ -7,7 +7,7 @@ from gyrokit import (ChainError, DyadicChain, FiniteSet, OriginSet, RadialBall,
                      SampleSpec, admissible_hull, admissible_intersection,
                      admissible_quotient_inclusion_check, ball,
                      build_dyadic_family, chain_load, coset_invariant_N_check,
-                     is_L_subgyrogroup, left_cosets, metric_d,
+                     cyclic_table, is_L_subgyrogroup, left_cosets, metric_d,
                      micro_assoc_check, prenorm_laws_check, quotient_ball,
                      quotient_metric, radial_add, rho_N, shrink,
                      validate_chain)
@@ -105,6 +105,20 @@ class TestValidateChain:
         report = validate_chain(z4, chain)
         assert not report.passed
         assert report.failing_index == 0
+
+    @pytest.mark.parametrize("flavor", ["weak", "admissible"])
+    def test_tail_closure_is_the_pair_law_without_index(self, flavor):
+        # the tail T = {0, 1, 7} of Z_8 must satisfy T + T <= T for either
+        # flavor: T + T = {6, 7, 0, 1, 2} escapes at 2 and 6, while
+        # T + (T + T) would escape at 2, 3, 5 and 6
+        z8 = cyclic_table(8)
+        chain = DyadicChain([FiniteSet(8, indices=range(8)),
+                             FiniteSet(8, indices=[0, 1, 7])], flavor)
+        report = validate_chain(z8, chain)
+        tail = report.results[-1]
+        assert (tail.name, tail.samples, tail.witness) == (
+            "chain-tail-closed", 5, {"escaped": [2, 6]})
+        assert report.failures() == [tail] and report.failing_index == 1
 
     def test_radial_halving_valid(self, einstein):
         report = validate_chain(einstein, halving_radial_chain())
