@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (AxiomReport, CarrierError, ChainError, CheckResult,
-                   CosetError, SampleSpec, TableError, check_axioms,
-                   check_identities)
+from .core import (AxiomReport, ChainError, CheckResult, SampleSpec,
+                   TableError, check_axioms, check_identities)
 from .cosets import homogeneity_translate, is_L_subgyrogroup, is_subgyrogroup, left_cosets
 from .models import EinsteinModel, MobiusModel, table_load
 from .prenorm import (admissible_hull, admissible_intersection,
@@ -311,8 +310,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         report = args.fn(args)
-    except (InputError, CarrierError, TableError, ChainError, CosetError,
-            ValueError) as e:
+    except (InputError, ValueError) as e:
         vrep = getattr(e, "report", None)  # set on an invalid --chain
         if vrep is None:
             print(f"error: {e}", file=sys.stderr)

@@ -143,7 +143,8 @@ def left_cosets(model: FiniteTable, H) -> CosetPartition:
 
     n, idx = model.n, H.index_array()
     cos = model.table[:, idx]  # row a: the coset a + H
-    # distinct cosets in ascending bitmask order, and the one of each a
+    # the distinct cosets, their membership rows compared as reversed bit
+    # strings (highest element first), and the one of each a
     found, coset_of = np.unique(member_masks(cos, n)[:, ::-1], axis=0,
                                 return_inverse=True)
     found, coset_of = found[:, ::-1], coset_of.ravel()

@@ -412,8 +412,10 @@ class FiniteTable(GyroModel):
         return self.gyr(a, b, np.arange(self.n))
 
     def is_group(self) -> bool:
-        """True when every gyration is the identity permutation."""
-        return bool(np.all(self.G == np.arange(self.n)))
+        """True when every gyration is the identity permutation: ``G`` is
+        compared one ``_slabs`` slab at a time, up to the first that differs."""
+        z = np.arange(self.n, dtype=self.G.dtype)
+        return all((self.G[lo:hi] == z).all() for lo, hi in _slabs(self.n))
 
     @functools.cached_property
     def gyr_orbits(self) -> np.ndarray:

@@ -180,26 +180,22 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
             w = U.gyr_invariance_witness(model)
             add(CheckResult.exact(f"chain-gyr-invariant[{n}]", model.n ** 2,
                                   w and {"index": n, "elements": list(w)}))
-        # the laws on membership rows: the product's size and its members
-        # outside the bound, ascending
-        for n in range(len(chain.sets) - 1):
-            small, big = chain.sets[n + 1], chain.sets[n]
+        # the laws on membership rows, the last being the tail's closure
+        # T + T <= T: the product's size and its members outside the
+        # bound, ascending
+        last = len(chain.sets) - 1
+        for n, big in enumerate(chain.sets):
+            small = chain.set_at(n + 1)
             prod = oplus_rows(model, small, small.members())
-            if chain.flavor == "admissible":
+            if chain.flavor == "admissible" and n < last:
                 prod = oplus_rows(model, small, prod)
             escaped = np.flatnonzero(prod & ~big.members()).tolist()
             if escaped and report.failing_index is None:
                 report.failing_index = n
-            add(CheckResult.exact(f"chain-containment[{n}]", int(prod.sum()),
-                                  {"index": n, "escaped": escaped}
-                                  if escaped else None))
-        tail = chain.sets[-1]
-        prod = oplus_rows(model, tail, tail.members())
-        escaped = np.flatnonzero(prod & ~tail.members()).tolist()
-        if escaped and report.failing_index is None:
-            report.failing_index = len(chain.sets) - 1
-        add(CheckResult.exact("chain-tail-closed", int(prod.sum()),
-                              {"escaped": escaped} if escaped else None))
+            name, at = ((f"chain-containment[{n}]", {"index": n}) if n < last
+                        else ("chain-tail-closed", {}))
+            add(CheckResult.exact(name, int(prod.sum()),
+                                  {**at, "escaped": escaped} if escaped else None))
         return report
 
     radii = [s.radius for s in chain.sets]
@@ -544,7 +540,7 @@ def _greedy_shrink(model: GyroModel, start: FiniteSet, target: FiniteSet,
     b, c make a bad pair iff b + c leaves it.  0 is never removed.
     """
     T, lab, ok = model.table, model.orbit_labels, target.members()
-    V = _invariant_restriction(model, start).members()
+    V = _invariant_restriction(model, start).members().copy()
     while True:
         v = np.flatnonzero(V)
         first, bad = False, ~ok

@@ -1,8 +1,9 @@
 """Carrier subsets: exact finite sets and radial balls.
 
-Finite subsets are bitmask-backed and support exact elementwise set
-arithmetic A (+) B = {a + b : a in A, b in B}: one boolean matrix
-product of membership rows with the sum matrix of A (``oplus_rows``).
+A finite subset is its read-only boolean membership row, the one format
+every finite algorithm reads.  Set arithmetic is exact and elementwise,
+A (+) B = {a + b : a in A, b in B}: one boolean matrix product of
+membership rows with the sum matrix of A (``oplus_rows``).
 Symmetry is a membership lookup through ``inverses``, and gyration
 invariance one test against the table's orbit partition ``gyr_orbits``;
 both need a validated table, whose inversion and gyrations are
@@ -46,65 +47,62 @@ def oplus_rows(model: GyroModel, U: "FiniteSet", rows: np.ndarray):
 
 
 class FiniteSet:
-    """An immutable subset of a finite carrier, stored as a bitmask."""
+    """An immutable subset of the finite carrier 0..n-1, held as one
+    read-only boolean membership row of length n."""
 
-    __slots__ = ("n", "mask")
+    __slots__ = ("_row",)
 
-    def __init__(self, n: int, mask: int = 0, indices=None):
-        self.n = n
-        m = mask
-        if indices is not None:
-            for i in indices:
-                if not 0 <= i < n:
-                    raise ValueError(f"index {i} out of range 0..{n - 1}")
-                m |= 1 << int(i)
-        if m < 0 or m >> n:
-            raise ValueError(f"mask {m} has bits outside 0..{n - 1}")
-        self.mask = m
+    def __init__(self, n: int, indices=()):
+        idx = np.fromiter(indices, dtype=object)  # ints of any size, exact
+        bad = (idx < 0) | (idx >= n)
+        if bad.any():
+            raise ValueError(f"index {idx[bad.argmax()]} out of range 0..{n - 1}")
+        self._row = np.zeros(n, dtype=bool)
+        self._row[idx.astype(np.intp)] = True
+        self._row.flags.writeable = False
 
     @staticmethod
     def of(members) -> "FiniteSet":
-        """The set with the boolean membership mask ``members``."""
-        bits = np.packbits(np.asarray(members, dtype=bool), bitorder="little")
-        return FiniteSet(len(members), int.from_bytes(bits.tobytes(), "little"))
+        """The set with the boolean membership row ``members`` (copied)."""
+        S = object.__new__(FiniteSet)
+        S._row = np.array(members, dtype=bool)
+        S._row.flags.writeable = False
+        return S
+
+    @property
+    def n(self) -> int:
+        return self._row.size
 
     def members(self) -> np.ndarray:
-        """The boolean membership mask, of length n."""
-        raw = np.frombuffer(self.mask.to_bytes(-(-self.n // 8), "little"),
-                            dtype=np.uint8)
-        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
+        """The read-only boolean membership row, of length n; copy it
+        before mutating."""
+        return self._row
 
     def index_array(self) -> np.ndarray:
-        return np.flatnonzero(self.members())
+        return np.flatnonzero(self._row)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self.index_array().tolist())
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return int(np.count_nonzero(self._row))
 
     def __contains__(self, i) -> bool:
         i = int(i)
-        return 0 <= i < self.n and bool(self.mask >> i & 1)
-
-    def contains(self, model, x) -> bool:
-        return int(x) in self
+        return 0 <= i < self.n and bool(self._row[i])
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSet)
-                and self.n == other.n and self.mask == other.mask)
+                and np.array_equal(self._row, other._row))
 
     def __hash__(self):
-        return hash((self.n, self.mask))
+        return hash(self._row.tobytes())
 
     def __le__(self, other):
-        return self.mask & ~other.mask == 0
+        return not np.any(self._row & ~other._row)
 
     def __and__(self, other):
-        return FiniteSet(self.n, self.mask & other.mask)
-
-    def __or__(self, other):
-        return FiniteSet(self.n, self.mask | other.mask)
+        return FiniteSet.of(self._row & other._row)
 
     def __repr__(self):
         return f"FiniteSet({set(self.indices())})"
@@ -119,14 +117,13 @@ class FiniteSet:
     def is_symmetric(self, model: GyroModel) -> bool:
         """Whether -x lies in the set exactly when x does; on a validated
         table inversion is a bijection, so this is -U = U."""
-        m = self.members()
-        return np.array_equal(m[model.inverses], m)
+        return np.array_equal(self._row[model.inverses], self._row)
 
     def gyr_invariance_witness(self, model: GyroModel):
         """None if gyr[a, b] maps the set onto itself for all a, b; else the
         first (a, b), row-major, whose gyration does not: the (a, b) of the
-        ``invariance_witness`` of the membership mask, as gyrations biject."""
-        hit = model.invariance_witness(self.members())
+        ``invariance_witness`` of the membership row, as gyrations biject."""
+        hit = model.invariance_witness(self._row)
         return None if hit is None else tuple(hit[:2])
 
 

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gyrokit import EinsteinModel, FiniteTable, MobiusModel, table_load
+from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
+                     table_load)
 
 
 def bundled_table_path(name: str):
@@ -14,6 +15,12 @@ def bundled_table_path(name: str):
 
 def load_bundled(name: str):
     return table_load(bundled_table_path(name).read_text(), name=name)
+
+
+def set_of_bits(n: int, bits: int) -> FiniteSet:
+    """The subset of 0..n-1 whose members are the set bits of ``bits``:
+    enumerates every subset as the integers 0..2^n - 1."""
+    return FiniteSet(n, indices=[i for i in range(n) if bits >> i & 1])
 
 
 @pytest.fixture(scope="session")

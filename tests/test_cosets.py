@@ -7,7 +7,7 @@ from gyrokit import (CosetError, EinsteinModel, FiniteSet, FiniteTable,
                      parse_subset, same_coset)
 from gyrokit.sets import AxisSet, OriginSet, RadialBall
 
-from conftest import brute_l_subgyrogroups, brute_subgyrogroups
+from conftest import brute_l_subgyrogroups, brute_subgyrogroups, set_of_bits
 
 
 class TestSubgyrogroupDetection:
@@ -28,7 +28,7 @@ class TestSubgyrogroupDetection:
     def test_verdicts_match_brute_force(self, g8):
         brute = set(brute_subgyrogroups(g8))
         for mask in range(1, 2 ** 8, 2):  # subsets containing 0
-            s = FiniteSet(8, mask)
+            s = set_of_bits(8, mask)
             ok, _ = is_subgyrogroup(g8, s)
             assert ok == (s.indices() in brute)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
-                     RadialBall, check_axioms, check_identities,
+                     RadialBall, check_axioms, check_identities, cyclic_table,
                      is_L_subgyrogroup, micro_assoc_check)
 from gyrokit.cli import main
 from gyrokit.core import (CHUNK, AxiomReport, CheckResult, SampleSpec,
@@ -23,7 +23,7 @@ from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
 from gyrokit.sets import oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path, load_bundled)
+                      bundled_table_path, load_bundled, set_of_bits)
 
 
 def test_tensor_matches_brute_gyr(g8):
@@ -54,8 +54,22 @@ def test_mask_round_trip_and_range():
     S = FiniteSet(12, indices=[0, 2, 11])
     assert FiniteSet.of(S.members()) == S
     assert S.indices() == (0, 2, 11)
-    with pytest.raises(ValueError, match="outside"):
-        FiniteSet(4, 1 << 4)
+    with pytest.raises(ValueError, match=r"^index 4 out of range 0\.\.3$"):
+        FiniteSet(4, indices=[4])
+
+
+def test_members_is_one_read_only_row():
+    m = np.arange(6) % 2 == 0
+    S = FiniteSet.of(m)
+    assert S.members() is S.members()
+    assert not S.members().flags.writeable
+    assert not FiniteSet(6, indices=[1]).members().flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        S.members()[1] = True
+    m[0] = False  # FiniteSet.of stored a copy
+    assert S.indices() == (0, 2, 4) and S.n == 6
+    with pytest.raises(TypeError):
+        FiniteSet(4, 5)  # an int is not read as bits
 
 
 @pytest.mark.parametrize("indices,bad", [([4], 4), ([-1], -1),
@@ -80,7 +94,7 @@ def test_invariance_witness_matches_loop(name, request):
     rng = np.random.default_rng(3)
     masks = range(2 ** 8) if model.n == 8 else rng.integers(0, 2 ** 16, 200)
     for mask in masks:
-        S = FiniteSet(model.n, int(mask))
+        S = set_of_bits(model.n, int(mask))
         assert S.gyr_invariance_witness(model) == loop_invariance_witness(model, S)
 
 
@@ -112,7 +126,7 @@ def test_finite_set_oplus_matches_brute_force(name, request):
     n = model.n
     rng = np.random.default_rng(7)
     for _ in range(100):
-        A, B = (FiniteSet(n, int(m)) for m in rng.integers(0, 2 ** n, 2))
+        A, B = (set_of_bits(n, int(m)) for m in rng.integers(0, 2 ** n, 2))
         want = {int(model.op(a, b)) for a in A.indices() for b in B.indices()}
         assert A.oplus(model, B) == FiniteSet(n, indices=want)
 
@@ -132,7 +146,7 @@ def test_is_symmetric_matches_brute_force(name, request):
     masks = range(2 ** 8) if model.n == 8 else rng.integers(0, 2 ** 16, 300)
     verdicts = set()
     for mask in masks:
-        S = FiniteSet(model.n, int(mask))
+        S = set_of_bits(model.n, int(mask))
         verdicts.add(S.is_symmetric(model))
         assert S.is_symmetric(model) == brute_is_symmetric(model, S)
     assert verdicts == {True, False}
@@ -637,7 +651,7 @@ def test_invariance_witness_finds_planted_numerator_defect():
 def meshgrid_greedy(model, start, target, triple):
     """The greedy shrink over the |V|^2 or |V|^3 index meshgrid: the oracle."""
     T, lab = model.table, model.orbit_labels
-    V = _invariant_restriction(model, start).members()
+    V = _invariant_restriction(model, start).members().copy()
     in_target = target.members()
     while True:
         idx = np.flatnonzero(V)
@@ -653,7 +667,7 @@ def meshgrid_hull(model, U, depth):
     """``admissible_hull`` on the meshgrid greedy: the oracle."""
     lab = model.orbit_labels
     sets = [_invariant_restriction(model, U)]
-    while sets[-1] != FiniteSet(model.n, 1):
+    while len(sets[-1]) > 1:
         cur = sets[-1]
         V = meshgrid_greedy(model, cur, cur, True)
         if V == cur:
@@ -709,3 +723,24 @@ def test_invariance_and_hull_peak_below_cube(g8):
         finally:
             tracemalloc.stop()
         assert peak < model.n ** 3
+
+
+@pytest.mark.parametrize("kind", ["product", "cyclic", "planted"])
+def test_is_group_slabbed_and_below_cube(g8, kind):
+    # n = 128: g8 x Z_16 is not a group; Z_128 is, unless one gyration in
+    # its last slab is planted; each verdict stays below n^3 / 8 bytes
+    if kind == "product":
+        model = FiniteTable(product_table(g8, 16))
+    else:
+        model = FiniteTable(cyclic_table(128).table, validate=False)
+        if kind == "planted":
+            model.G[127, 3, 5] = 6
+    tracemalloc.start()
+    try:
+        verdict = model.is_group()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == bool(np.all(model.G == np.arange(model.n)))
+    assert verdict == (kind == "cyclic")
+    assert peak < model.n ** 3 // 8

@@ -64,7 +64,7 @@ def lift(S, Z):
 
 model = timed("load", lambda: FiniteTable(T, name=f"g8xz{{k}}"))
 timed("orbits", lambda: model.gyr_orbits)
-full = FiniteSet(8 * k, (1 << 8 * k) - 1)
+full = FiniteSet.of(np.ones(8 * k, dtype=bool))
 timed("hull", lambda: admissible_hull(model, full, depth={DEPTH}))
 chain = chain_load(model, {{"flavor": "admissible", "sets": [
     list(range(8 * k)), lift({S4}, range(k)), lift({S2}, range(k)),
