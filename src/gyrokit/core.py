@@ -23,9 +23,11 @@ exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
 a replayable witness, never exceptions.
 
-Continuous sweeps run in consecutive blocks of ``CHUNK`` rows after one
-full draw.  Finite sweeps run one slab of max(``CHUNK`` // n^2, 1) whole
-first indices at a time (``_slabs``).  Each check's verdicts are merged
+Continuous sweeps run in consecutive blocks of ``ROWS`` rows after one
+full draw, whose slots are column-major: the Einstein kernels read their
+(N, d) operands column by column, so each column is one contiguous read.
+Finite sweeps run one slab of max(``CHUNK`` // n^2, 1) whole first
+indices at a time (``_slabs``).  Each check's verdicts are merged
 so that the report equals that of one pass over all rows, and memory is
 bounded by the draw plus the temporaries of one block.  Within a block,
 each gyration gyr[a, b] is applied once to a stack of its arguments, and
@@ -58,10 +60,16 @@ __all__ = [
     "check_identities",
 ]
 
-# Rows per sweep block.  2^16 keeps every table of order <= 50 and every
-# continuous sweep below 2^17 rows in one block: 2^14 slowed the load of
-# order-32 and -48 tables, and 2^17 or more slowed continuous sweeps.
+# Rows per finite sweep block.  2^16 keeps every table of order <= 50 in
+# one block: 2^14 slowed the load of order-32 and -48 tables.
 CHUNK = 2 ** 16
+
+# Rows per continuous sweep block: a block's temporaries then fit in L2,
+# where 2^16 rows did not.  Not fewer: numpy computes a * np.conj(b) in
+# place once the temporary np.conj(b) reaches 256 KiB (2^14 complex128),
+# and that product differs from the out-of-place one in the last bit, so
+# Moebius reports change when a block is shorter than 2^14 rows.
+ROWS = 2 ** 14
 
 
 class CarrierError(ValueError):
@@ -242,14 +250,22 @@ def _triples(model: GyroModel, spec: SampleSpec):
     """
     rng = np.random.default_rng(spec.seed)
     stress = model.stress_elements()
-    # one slot at a time, so that no raw draw outlives its slot's copy
-    return tuple(np.concatenate([np.stack(stress[k:] + stress[:k]),
-                                 model.sample(rng, spec.count)])
+    # one slot at a time, so that no raw draw outlives its slot
+    return tuple(_column_major(np.stack(stress[k:] + stress[:k]),
+                               model.sample(rng, spec.count))
                  for k in range(3))
 
 
+def _column_major(head, draw):
+    """head and draw concatenated into one column-major array, written
+    once: each column of an (N, d) slot is contiguous."""
+    out = np.empty((len(head) + len(draw),) + draw.shape[1:],
+                   np.result_type(head, draw), order="F")
+    return np.concatenate([head, draw], out=out)
+
+
 def _blocks(model: GyroModel, spec: SampleSpec):
-    """A sweep's triples in blocks: consecutive slices of ``CHUNK`` rows of
+    """A sweep's triples in blocks: consecutive slices of ``ROWS`` rows of
     one ``_triples`` draw, the remainder joining the last block so that no
     block is shorter, or the index grids of the finite cube's ``_slabs``."""
     if model.is_finite:
@@ -261,7 +277,7 @@ def _blocks(model: GyroModel, spec: SampleSpec):
         return
     draw = _triples(model, spec)
     rows = len(draw[0])
-    cuts = [k * CHUNK for k in range(max(rows // CHUNK, 1))] + [rows]
+    cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
     for lo, hi in zip(cuts, cuts[1:]):
         yield tuple(t[lo:hi] for t in draw)
 

@@ -200,8 +200,10 @@ class EinsteinModel(GyroModel):
         if uu is None or vv is None or self._sq(w) is None:
             raise CarrierError("velocity outside the c-ball")
         a, b = self._gyr_ab(u, v, w, uu, vv)
-        # column by column, so that no temporary is (..., d) wide
-        out = np.empty(np.broadcast_shapes(u.shape, v.shape, w.shape))
+        # column by column, so that no temporary is (..., d) wide, into
+        # contiguous columns
+        shape = np.broadcast_shapes(u.shape, v.shape, w.shape)
+        out = np.moveaxis(np.empty(shape[-1:] + shape[:-1]), 0, -1)
         for k in range(self.dim):
             out[..., k] = w[..., k] + a * u[..., k] + b * v[..., k]
         return out
@@ -217,8 +219,8 @@ class EinsteinModel(GyroModel):
         # uniform in the ball of radius 0.99c
         v = rng.normal(size=(size, self.dim))
         v /= self.norm(v)[:, None]
-        r = 0.99 * self.c * rng.random(size)[:, None] ** (1.0 / self.dim)
-        return v * r
+        v *= 0.99 * self.c * rng.random(size)[:, None] ** (1.0 / self.dim)
+        return v
 
     def stress_elements(self) -> list:
         e1 = np.zeros(self.dim)

@@ -48,7 +48,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import (CHUNK, AxiomReport, ChainError, CheckResult, GyroModel,
+from .core import (ROWS, AxiomReport, ChainError, CheckResult, GyroModel,
                    SampleSpec, _verdict, first_hit, read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
@@ -716,9 +716,9 @@ def micro_assoc_check(model: GyroModel, W, V,
     bzs = W.sample(model, rng, spec.count)
     probes = V.radius * _directions(model, DIRECTIONS)
     # per pair, the worst defect over all probes; pairs go in batches of
-    # about CHUNK (pair, direction) rows, broadcast as (pairs, 1) x (directions)
+    # about ROWS (pair, direction) rows, broadcast as (pairs, 1) x (directions)
     defect = np.empty(spec.count)
-    step = CHUNK // DIRECTIONS
+    step = ROWS // DIRECTIONS
     for lo in range(0, spec.count, step):
         a, b = azs[lo:lo + step, None], bzs[lo:lo + step, None]
         ab = model.op(a, b)

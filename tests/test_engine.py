@@ -13,7 +13,7 @@ from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      RadialBall, check_axioms, check_identities, cyclic_table,
                      is_L_subgyrogroup, micro_assoc_check)
 from gyrokit.cli import main
-from gyrokit.core import (CHUNK, AxiomReport, CheckResult, SampleSpec,
+from gyrokit.core import (CHUNK, ROWS, AxiomReport, CheckResult, SampleSpec,
                           TableError, _axiom_checks, _blocks, _finite_extras,
                           _identity_checks, _left_division, _merged, _swept,
                           _triples, _verdict, first_hit)
@@ -297,7 +297,7 @@ def test_broken_g8_check_witnesses_pinned(cells, expected, tmp_path):
     assert fails == expected
 
 
-# Sweeps run in blocks of CHUNK rows; each must report what one pass of the
+# Sweeps run in blocks of ROWS rows; each must report what one pass of the
 # block body over all rows reports.
 
 def whole_report(model, checks, x, y, z):
@@ -311,7 +311,7 @@ def whole_report(model, checks, x, y, z):
 def test_blocked_sweeps_match_whole_draw(model):
     # three full blocks plus a remainder; at eps 1e-15 most checks fail,
     # so the witnesses are compared too
-    spec = SampleSpec(3 * CHUNK + 1234, seed=605021745)
+    spec = SampleSpec(3 * ROWS + 1234, seed=605021745)
     xyz = _triples(model, spec)
     assert len(list(_blocks(model, spec))) == 3
     for sweep, checks in ((check_axioms, _axiom_checks),
@@ -333,14 +333,14 @@ def planted(values):
 
 
 @pytest.mark.parametrize("cells", [
-    {},                                            # all pass at residual 0
-    {10: 0.5, CHUNK + 7: 2.0, 2 * CHUNK + 9: 2.0},  # a tie across blocks
-    {5: 3.0, CHUNK + 1: np.nan, 2 * CHUNK: np.nan},  # NaN wins, first one
-    {3 * CHUNK + 40: 1.0},                           # in the remainder
+    {},                                          # all pass at residual 0
+    {10: 0.5, ROWS + 7: 2.0, 2 * ROWS + 9: 2.0},  # a tie across blocks
+    {5: 3.0, ROWS + 1: np.nan, 2 * ROWS: np.nan},  # NaN wins, first one
+    {3 * ROWS + 40: 1.0},                         # in the remainder
 ])
 def test_block_merge_picks_the_first_worst_row(cells):
     model = MobiusModel(eps=0.1)
-    spec = SampleSpec(3 * CHUNK + 100, seed=4)
+    spec = SampleSpec(3 * ROWS + 100, seed=4)
     x = _triples(model, spec)[0]
     values = np.zeros(len(x))
     for i, v in cells.items():
@@ -364,6 +364,33 @@ def test_stacked_gyr_matches_separate_calls(name, request):
         want = model.gyr(x, y, w)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def columns_first(a):
+    """A copy of a whose last axis is the slowest: each column contiguous."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_einstein_kernels_do_not_depend_on_layout(dim):
+    # sweeps draw column-major slots; every kernel must give the bits it
+    # gives on C-ordered rows
+    model = EinsteinModel(dim=dim)
+    draw = _triples(model, SampleSpec(5000, seed=11))
+    assert all(t.flags.f_contiguous and not t.flags.c_contiguous
+               for t in draw)
+    rows = [np.ascontiguousarray(t) for t in draw]
+    cols = [columns_first(t) for t in rows]
+    stacked = np.stack(rows)
+    results = []
+    for (x, y, z), ws in ((rows, stacked), (cols, columns_first(stacked))):
+        gz, gs = model.gyr(x, y, z), model.gyr(x, y, ws)
+        for out in (gz, gs):
+            assert all(out[..., k].flags.c_contiguous for k in range(dim))
+        results.append([model.op(x, y), gz, gs, model.norm(x),
+                        model.residual(x, z)])
+    for want, got in zip(*results):
+        assert np.array_equal(want, got)
 
 
 def test_row_swapped_table_blocks_match_whole_cube(g8):
@@ -507,7 +534,7 @@ CONTINUOUS = [pytest.param(EinsteinModel, {}, id="e3"),
 def test_batched_micro_assoc_matches_loop(cls, kw, seed):
     model = cls(**kw)
     W, V = RadialBall(0.3), RadialBall(0.5)
-    for count in (1, 300):  # 300 pairs span two batches
+    for count in (1, 300):  # 300 pairs span five batches
         spec = SampleSpec(count, seed)
         got = micro_assoc_check(model, W, V, spec)
         assert got.passed

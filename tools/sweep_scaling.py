@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Stage times and peak memory of continuous sweeps as the sample count grows.
+
+    python3 tools/sweep_scaling.py
+
+For Einstein d=3 and Moebius at each sample count in ``COUNTS``, times
+the seeded draw of the sweep's triples (``core._triples``) on its own,
+then ``check_axioms`` and ``check_identities``, each of which draws again
+and sweeps the draw in blocks of ``core.ROWS`` rows.  Each model and count
+runs in a fresh Python process, so that its peak resident memory
+(``getrusage``'s ``ru_maxrss``) is its own; the process's imports count
+towards it.  Prints the seconds of each stage and the peak MiB.
+
+This is a reported measurement, not a test: nothing here gates anything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+COUNTS = [100_000, 1_000_000, 4_000_000]
+MODELS = ["einstein-d3", "mobius"]
+SEED = 0
+
+# run in a fresh process with argv[1] = model, argv[2] = count; prints
+# {"draw_s", "check_s", "identities_s", "passed", "peak_mib"}
+CHILD = f"""
+import json, resource, sys, time
+from gyrokit import EinsteinModel, MobiusModel, check_axioms, check_identities
+from gyrokit.core import SampleSpec, _triples
+
+model = {{"einstein-d3": EinsteinModel(dim=3),
+          "mobius": MobiusModel()}}[sys.argv[1]]
+spec = SampleSpec(int(sys.argv[2]), seed={SEED})
+out = {{}}
+
+def timed(stage, f):
+    t0 = time.perf_counter()
+    r = f()
+    out[stage + "_s"] = time.perf_counter() - t0
+    return r
+
+timed("draw", lambda: _triples(model, spec))
+out["passed"] = all([timed("check", lambda: check_axioms(model, spec)).passed,
+                     timed("identities",
+                           lambda: check_identities(model, spec)).passed])
+out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
+"""
+
+
+def sweep(model: str, count: int) -> dict:
+    """Sweep ``model`` at ``count`` samples in a fresh process."""
+    out = subprocess.run([sys.executable, "-c", CHILD, model, str(count)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def main() -> int:
+    cols = ["draw", "check", "identities"]
+    print(f"{'model':<13}{'samples':>9}" + "".join(f"{c + ' s':>14}" for c in cols)
+          + f"{'peak MiB':>10}{'passed':>8}")
+    for model in MODELS:
+        for count in COUNTS:
+            r = sweep(model, count)
+            print(f"{model:<13}{count:>9}"
+                  + "".join(f"{r[c + '_s']:>14.2f}" for c in cols)
+                  + f"{r['peak_mib']:>10.0f}{str(r['passed']):>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
