@@ -26,10 +26,13 @@ a replayable witness, never exceptions.
 Continuous sweeps run in consecutive blocks of ``ROWS`` rows after one
 full draw, whose slots are column-major: the Einstein kernels read their
 (N, d) operands column by column, so each column is one contiguous read.
-Finite sweeps run one slab of max(``CHUNK`` // n^2, 1) whole first
-indices at a time (``_slabs``).  Each check's verdicts are merged
-so that the report equals that of one pass over all rows, and memory is
-bounded by the draw plus the temporaries of one block.  Within a block,
+The draw is written in place, ``ROWS`` rows at a time, and its blocks are
+independent, so they run on a thread pool made for the sweep, one worker
+per available CPU (``_mapped``).  Finite sweeps run one slab of
+max(``CHUNK`` // n^2, 1) whole first indices at a time (``_slabs``).
+Each check's verdicts are merged so that the report equals that of one
+pass over all rows, and memory is bounded by the draw plus the
+temporaries of one block per worker.  Within a block,
 each gyration gyr[a, b] is applied once to a stack of its arguments, and
 each sum a + b is formed once.  A finite ``check_identities`` block is
 the index grid of its slab.  ``check_axioms`` on a finite table reads
@@ -41,6 +44,7 @@ is built.
 from __future__ import annotations
 
 import json
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -68,7 +72,8 @@ CHUNK = 2 ** 16
 # where 2^16 rows did not.  Not fewer: numpy computes a * np.conj(b) in
 # place once the temporary np.conj(b) reaches 256 KiB (2^14 complex128),
 # and that product differs from the out-of-place one in the last bit, so
-# Moebius reports change when a block is shorter than 2^14 rows.
+# Moebius reports change when a block is shorter than 2^14 rows.  Also
+# the rows per chunk of an Einstein draw.
 ROWS = 2 ** 14
 
 
@@ -124,8 +129,9 @@ class GyroModel(ABC):
         """Whether a lies in the carrier."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int):
-        """Draw ``size`` carrier elements."""
+    def sample(self, rng: np.random.Generator, size: int, out=None):
+        """Draw ``size`` carrier elements, written into ``out`` when it is
+        given, and returned."""
 
     def gyr(self, a, b, z):
         """The gyration gyr[a, b](z); overridable by a closed form."""
@@ -246,22 +252,20 @@ def _triples(model: GyroModel, spec: SampleSpec):
     """Element triples (X, Y, Z) of a continuous sweep.
 
     Independent seeded draws, with the stress elements rotated through
-    the three slots so every stress point meets every role.
+    the three slots so every stress point meets every role.  Each slot is
+    column-major, and the model draws into it in place.
     """
     rng = np.random.default_rng(spec.seed)
     stress = model.stress_elements()
-    # one slot at a time, so that no raw draw outlives its slot
-    return tuple(_column_major(np.stack(stress[k:] + stress[:k]),
-                               model.sample(rng, spec.count))
-                 for k in range(3))
-
-
-def _column_major(head, draw):
-    """head and draw concatenated into one column-major array, written
-    once: each column of an (N, d) slot is contiguous."""
-    out = np.empty((len(head) + len(draw),) + draw.shape[1:],
-                   np.result_type(head, draw), order="F")
-    return np.concatenate([head, draw], out=out)
+    slots = []
+    for k in range(3):
+        head = np.stack(stress[k:] + stress[:k])
+        slot = np.empty((len(head) + spec.count,) + head.shape[1:],
+                        head.dtype, order="F")
+        slot[:len(head)] = head
+        model.sample(rng, spec.count, out=slot[len(head):])
+        slots.append(slot)
+    return tuple(slots)
 
 
 def _blocks(model: GyroModel, spec: SampleSpec):
@@ -282,10 +286,42 @@ def _blocks(model: GyroModel, spec: SampleSpec):
         yield tuple(t[lo:hi] for t in draw)
 
 
+def _workers(items: int) -> int:
+    """Threads for ``items`` independent tasks: one per CPU available to
+    the process, at most one per task, at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(min(cpus, items), 1)
+
+
+def _mapped(fn, items) -> list:
+    """``[fn(item) for item in items]`` on a thread pool made for this call,
+    so that no idle thread outlives it.  numpy releases the interpreter
+    lock inside its array loops, so independent blocks overlap there.  One
+    worker runs in the calling thread, where a pool would only add a
+    thread start.  The first exception in item order is raised."""
+    items = list(items)
+    workers = _workers(len(items))
+    if workers == 1:
+        return [fn(item) for item in items]
+    # imported on first use: concurrent.futures loads logging, queue and
+    # traceback, 0.6 MiB that a process which never pools need not hold
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
-    """Run ``checks(model, x, y, z)`` on every block and merge per check."""
-    return _merged(model, [checks(model, *xyz)
-                           for xyz in _blocks(model, spec)])
+    """Run ``checks(model, x, y, z)`` on every block and merge per check.
+    Continuous blocks, views of one draw, run on threads; finite index
+    grids are built and swept one at a time."""
+    def run(xyz):
+        return checks(model, *xyz)
+    blocks = _blocks(model, spec)
+    return _merged(model, map(run, blocks) if model.is_finite
+                   else _mapped(run, blocks))
 
 
 def _merged(model: GyroModel, parts) -> AxiomReport:

@@ -20,6 +20,7 @@ from typing import IO
 import numpy as np
 
 from .core import (
+    ROWS,
     CarrierError,
     GyroModel,
     SampleSpec,
@@ -215,12 +216,20 @@ class EinsteinModel(GyroModel):
         d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
         return self._fold(np.maximum, d)
 
-    def sample(self, rng: np.random.Generator, size: int):
-        # uniform in the ball of radius 0.99c
-        v = rng.normal(size=(size, self.dim))
-        v /= self.norm(v)[:, None]
-        v *= 0.99 * self.c * rng.random(size)[:, None] ** (1.0 / self.dim)
-        return v
+    def sample(self, rng: np.random.Generator, size: int, out=None):
+        # uniform in the ball of radius 0.99c: all the normals, then all the
+        # radii, as one whole draw makes them; the normals are written and
+        # scaled ROWS rows at a time, so no temporary is draw-sized
+        out = np.empty((size, self.dim)) if out is None else out
+        chunks = [slice(lo, lo + ROWS) for lo in range(0, size, ROWS)]
+        for s in chunks:
+            out[s] = rng.normal(size=out[s].shape)
+        r = rng.random(size)
+        for s in chunks:
+            v = out[s]
+            v /= self.norm(v)[:, None]
+            v *= 0.99 * self.c * r[s, None] ** (1.0 / self.dim)
+        return out
 
     def stress_elements(self) -> list:
         e1 = np.zeros(self.dim)
@@ -284,9 +293,9 @@ class MobiusModel(GyroModel):
     def residual(self, a, b):
         return np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
-    def sample(self, rng: np.random.Generator, size: int):
+    def sample(self, rng: np.random.Generator, size: int, out=None):
         phase = np.exp(2j * math.pi * rng.random(size))
-        return 0.99 * np.sqrt(rng.random(size)) * phase
+        return np.multiply(0.99 * np.sqrt(rng.random(size)), phase, out=out)
 
     def stress_elements(self) -> list:
         return [0j, 0.9 + 0j, 0.99j, -0.9j,
@@ -395,8 +404,12 @@ class FiniteTable(GyroModel):
     def residual(self, a, b):
         return (np.asarray(a) != np.asarray(b)).astype(float)
 
-    def sample(self, rng: np.random.Generator, size: int):
-        return rng.integers(0, self.n, size=size)
+    def sample(self, rng: np.random.Generator, size: int, out=None):
+        draw = rng.integers(0, self.n, size=size)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
 
     def to_payload(self, a):
         return int(a)

@@ -49,7 +49,7 @@ from typing import IO
 import numpy as np
 
 from .core import (ROWS, AxiomReport, ChainError, CheckResult, GyroModel,
-                   SampleSpec, _verdict, first_hit, read_json)
+                   SampleSpec, _mapped, _verdict, first_hit, read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
 from .sets import FiniteSet, OriginSet, RadialBall, member_masks, oplus_rows
@@ -716,10 +716,12 @@ def micro_assoc_check(model: GyroModel, W, V,
     bzs = W.sample(model, rng, spec.count)
     probes = V.radius * _directions(model, DIRECTIONS)
     # per pair, the worst defect over all probes; pairs go in batches of
-    # about ROWS (pair, direction) rows, broadcast as (pairs, 1) x (directions)
+    # about ROWS (pair, direction) rows, broadcast as (pairs, 1) x (directions);
+    # the batches run on threads, each writing its own slice of defect
     defect = np.empty(spec.count)
     step = ROWS // DIRECTIONS
-    for lo in range(0, spec.count, step):
+
+    def batch(lo):
         a, b = azs[lo:lo + step, None], bzs[lo:lo + step, None]
         ab = model.op(a, b)
         # forward probes: a + (b + z) must land on the boundary of (a+b) + V
@@ -730,6 +732,7 @@ def micro_assoc_check(model: GyroModel, W, V,
         back2 = model.norm(model.op(model.inv(b), model.op(model.inv(a), q)))
         defect[lo:lo + step] = np.maximum(np.abs(back - V.radius).max(axis=1),
                                           np.abs(back2 - V.radius).max(axis=1))
+    _mapped(batch, range(0, spec.count, step))
     # the tolerance is the strict defect < 1e-6: for a float64 defect,
     # <= the next double below 1e-6 is the same test
     out = _verdict(model, "micro-associativity", defect, [azs, bzs],

@@ -4,6 +4,8 @@ against loop and whole-array oracles."""
 import functools
 import itertools
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      RadialBall, check_axioms, check_identities, cyclic_table,
                      is_L_subgyrogroup, micro_assoc_check)
+from gyrokit import core
 from gyrokit.cli import main
-from gyrokit.core import (CHUNK, ROWS, AxiomReport, CheckResult, SampleSpec,
-                          TableError, _axiom_checks, _blocks, _finite_extras,
-                          _identity_checks, _left_division, _merged, _swept,
-                          _triples, _verdict, first_hit)
+from gyrokit.core import (CHUNK, ROWS, AxiomReport, CarrierError, CheckResult,
+                          SampleSpec, TableError, _axiom_checks, _blocks,
+                          _finite_extras, _identity_checks, _left_division,
+                          _merged, _swept, _triples, _verdict, first_hit)
 from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
                              _invariant_restriction, admissible_hull,
                              build_dyadic_family, prenorm_laws_check, shrink)
@@ -321,14 +324,18 @@ def test_blocked_sweeps_match_whole_draw(model):
         assert any('"fail"' in line for line in lines)
 
 
-def planted(values):
-    """A block body whose one check reads its residuals from ``values``."""
-    done = []
+def block_start(x, block):
+    """The row of the draw slot ``x`` at which ``block`` starts: its first
+    element, a random point, occurs once in ``x``."""
+    return int(np.argmax(x == block[0]))
 
-    def checks(model, x, y, z):
-        lo = sum(done)
-        done.append(len(x))
-        return [_verdict(model, "planted", values[lo:lo + len(x)], [x])]
+
+def planted(values, x):
+    """A block body whose one check reads the residuals of its rows of the
+    draw slot ``x`` from ``values``."""
+    def checks(model, xb, y, z):
+        lo = block_start(x, xb)
+        return [_verdict(model, "planted", values[lo:lo + len(xb)], [xb])]
     return checks
 
 
@@ -345,11 +352,73 @@ def test_block_merge_picks_the_first_worst_row(cells):
     values = np.zeros(len(x))
     for i, v in cells.items():
         values[i] = v
-    got = _swept(model, spec, planted(values)).results[0]
-    want = planted(values)(model, x, x, x)[0]
+    got = _swept(model, spec, planted(values, x)).results[0]
+    want = planted(values, x)(model, x, x, x)[0]
     assert (AxiomReport([got]).to_json_lines()
             == AxiomReport([want]).to_json_lines())
     assert got.samples == len(x)
+
+
+class OutsideLast(EinsteinModel):
+    """The Einstein ball whose last drawn row of each slot lies outside."""
+
+    def sample(self, rng, size, out=None):
+        out = super().sample(rng, size, out)
+        out[-1:] = 2.0 * self.c / np.sqrt(self.dim)
+        return out
+
+
+def test_late_block_error_surfaces_as_in_a_serial_sweep():
+    # the carrier error of the last block is the one a serial sweep raises
+    model = OutsideLast(dim=3)
+    spec = SampleSpec(4 * ROWS, seed=2)
+    with pytest.raises(CarrierError) as serial:
+        _axiom_checks(model, *_triples(model, spec))
+    for sweep in (check_axioms, check_identities):
+        with pytest.raises(CarrierError) as pooled:
+            sweep(model, spec)
+        assert str(pooled.value) == str(serial.value)
+    # blocks from the second on raise, each naming its first row: the
+    # first of them in block order surfaces, as from a serial loop
+    mobius = MobiusModel()
+    x = _triples(mobius, spec)[0]
+
+    def checks(model, xb, y, z):
+        lo = block_start(x, xb)
+        if lo:
+            raise CarrierError(f"block at row {lo}")
+        return []
+    with pytest.raises(CarrierError, match=f"^block at row {ROWS}$"):
+        _swept(mobius, spec, checks)
+
+
+def test_sweeps_leave_no_threads_behind():
+    before = threading.active_count()
+    spec = SampleSpec(3 * ROWS, seed=1)
+    for model in (EinsteinModel(dim=3), MobiusModel()):
+        check_axioms(model, spec)
+        check_identities(model, spec)
+        micro_assoc_check(model, RadialBall(0.3), RadialBall(0.5),
+                          SampleSpec(300, seed=1))
+        assert threading.active_count() == before
+
+
+def test_pooled_sweeps_hold_with_more_workers_than_cores(monkeypatch):
+    # eight workers and a short switch interval: merged blocks must still
+    # report the whole draw, and micro-associativity batches the loop
+    monkeypatch.setattr(core, "_workers", lambda items: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        model = MobiusModel(eps=1e-15)
+        spec = SampleSpec(8 * ROWS + 5, seed=9)
+        assert check_identities(model, spec).to_json_lines() == whole_report(
+            model, _identity_checks, *_triples(model, spec))
+        W, V, spec = RadialBall(0.3), RadialBall(0.5), SampleSpec(600, seed=2)
+        assert (micro_assoc_check(model, W, V, spec)
+                == loop_micro_assoc(model, W, V, spec))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("name", ["einstein", "mobius", "g8"])
@@ -391,6 +460,54 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
                         model.residual(x, z)])
     for want, got in zip(*results):
         assert np.array_equal(want, got)
+
+
+def whole_slot_draw(model, spec):
+    """The three slots of ``_triples`` as whole-slot draws concatenated
+    after the rotated stress elements: the reference."""
+    rng = np.random.default_rng(spec.seed)
+    stress = model.stress_elements()
+    slots = []
+    for k in range(3):
+        if isinstance(model, EinsteinModel):
+            v = rng.normal(size=(spec.count, model.dim))
+            v /= model.norm(v)[:, None]
+            v *= (0.99 * model.c
+                  * rng.random(spec.count)[:, None] ** (1.0 / model.dim))
+        else:
+            phase = np.exp(2j * np.pi * rng.random(spec.count))
+            v = 0.99 * np.sqrt(rng.random(spec.count)) * phase
+        slots.append(np.concatenate([np.stack(stress[k:] + stress[:k]), v]))
+    return slots
+
+
+@pytest.mark.parametrize("model", [EinsteinModel(dim=2),
+                                   EinsteinModel(dim=3, c=1.5),
+                                   MobiusModel()], ids=["e2", "e3", "mobius"])
+@pytest.mark.parametrize("count", [0, 1, ROWS - 1, ROWS, ROWS + 1,
+                                   3 * ROWS + 5])
+def test_chunked_draw_matches_whole_slot_draw(model, count):
+    # the draw is written in place, ROWS rows at a time
+    spec = SampleSpec(count, seed=605021745)
+    got = _triples(model, spec)
+    for slot, want in zip(got, whole_slot_draw(model, spec)):
+        assert slot.flags.f_contiguous
+        assert slot.dtype == want.dtype
+        assert np.array_equal(slot, want)
+
+
+def test_draw_peak_is_its_slots():
+    # the draw's only temporaries beyond its three slots are the radii
+    # and one chunk's
+    model = EinsteinModel(dim=3)
+    spec = SampleSpec(200_000, seed=0)
+    tracemalloc.start()
+    try:
+        slots = _triples(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * sum(t.nbytes for t in slots)
 
 
 def test_row_swapped_table_blocks_match_whole_cube(g8):

@@ -6,7 +6,8 @@
 For Einstein d=3 and Moebius at each sample count in ``COUNTS``, times
 the seeded draw of the sweep's triples (``core._triples``) on its own,
 then ``check_axioms`` and ``check_identities``, each of which draws again
-and sweeps the draw in blocks of ``core.ROWS`` rows.  Each model and count
+and sweeps the draw in blocks of ``core.ROWS`` rows on a thread pool; the
+``workers`` column is that pool's size.  Each model and count
 runs in a fresh Python process, so that its peak resident memory
 (``getrusage``'s ``ru_maxrss``) is its own; the process's imports count
 towards it.  Prints the seconds of each stage and the peak MiB.
@@ -28,11 +29,11 @@ MODELS = ["einstein-d3", "mobius"]
 SEED = 0
 
 # run in a fresh process with argv[1] = model, argv[2] = count; prints
-# {"draw_s", "check_s", "identities_s", "passed", "peak_mib"}
+# {"draw_s", "check_s", "identities_s", "passed", "peak_mib", "workers"}
 CHILD = f"""
 import json, resource, sys, time
 from gyrokit import EinsteinModel, MobiusModel, check_axioms, check_identities
-from gyrokit.core import SampleSpec, _triples
+from gyrokit.core import ROWS, SampleSpec, _triples, _workers
 
 model = {{"einstein-d3": EinsteinModel(dim=3),
           "mobius": MobiusModel()}}[sys.argv[1]]
@@ -50,6 +51,8 @@ out["passed"] = all([timed("check", lambda: check_axioms(model, spec)).passed,
                      timed("identities",
                            lambda: check_identities(model, spec)).passed])
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+rows = spec.count + len(model.stress_elements())
+out["workers"] = _workers(max(rows // ROWS, 1))
 print(json.dumps(out))
 """
 
@@ -65,13 +68,14 @@ def sweep(model: str, count: int) -> dict:
 def main() -> int:
     cols = ["draw", "check", "identities"]
     print(f"{'model':<13}{'samples':>9}" + "".join(f"{c + ' s':>14}" for c in cols)
-          + f"{'peak MiB':>10}{'passed':>8}")
+          + f"{'peak MiB':>10}{'workers':>9}{'passed':>8}")
     for model in MODELS:
         for count in COUNTS:
             r = sweep(model, count)
             print(f"{model:<13}{count:>9}"
                   + "".join(f"{r[c + '_s']:>14.2f}" for c in cols)
-                  + f"{r['peak_mib']:>10.0f}{str(r['passed']):>8}")
+                  + f"{r['peak_mib']:>10.0f}{r['workers']:>9}"
+                  + f"{str(r['passed']):>8}")
     return 0
 
 
