@@ -68,12 +68,8 @@ __all__ = [
 # one block: 2^14 slowed the load of order-32 and -48 tables.
 CHUNK = 2 ** 16
 
-# Rows per continuous sweep block: a block's temporaries then fit in L2,
-# where 2^16 rows did not.  Not fewer: numpy computes a * np.conj(b) in
-# place once the temporary np.conj(b) reaches 256 KiB (2^14 complex128),
-# and that product differs from the out-of-place one in the last bit, so
-# Moebius reports change when a block is shorter than 2^14 rows.  Also
-# the rows per chunk of an Einstein draw.
+# Rows per continuous sweep block, and per chunk of an Einstein draw: a
+# block's temporaries then fit in L2, where 2^16 rows did not.
 ROWS = 2 ** 14
 
 

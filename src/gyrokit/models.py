@@ -287,7 +287,10 @@ class MobiusModel(GyroModel):
 
     def gyr(self, a, b, z):
         a, b, z = self._points(a, b, z)
-        q = (1.0 + a * np.conj(b)) / (1.0 + np.conj(a) * b)
+        # np.conj(b) first: numpy computes a * np.conj(b) in place as
+        # np.conj(b) * a from 2^14 elements on, and complex products are
+        # not bit-commutative, so only this order rounds alike at any length
+        q = (1.0 + np.conj(b) * a) / (1.0 + np.conj(a) * b)
         return q * z
 
     def residual(self, a, b):
