@@ -26,9 +26,10 @@ a replayable witness, never exceptions.
 Continuous sweeps run in consecutive blocks of ``ROWS`` rows after one
 full draw, whose slots are column-major: the Einstein kernels read their
 (N, d) operands column by column, so each column is one contiguous read.
-The draw is written in place, ``ROWS`` rows at a time, and its blocks are
-independent, so they run on a thread pool made for the sweep, one worker
-per available CPU (``_mapped``).  Finite sweeps run one slab of
+The model writes the draw into its slots in place (an Einstein draw
+``ROWS`` rows at a time), and the blocks are independent, so they run on
+a thread pool made for the sweep, one worker per available CPU
+(``_mapped``).  Finite sweeps run one slab of
 max(``CHUNK`` // n^2, 1) whole first indices at a time (``_slabs``).
 Each check's verdicts are merged so that the report equals that of one
 pass over all rows, and memory is bounded by the draw plus the

@@ -219,7 +219,8 @@ class EinsteinModel(GyroModel):
     def sample(self, rng: np.random.Generator, size: int, out=None):
         # uniform in the ball of radius 0.99c: all the normals, then all the
         # radii, as one whole draw makes them; the normals are written and
-        # scaled ROWS rows at a time, so no temporary is draw-sized
+        # scaled ROWS rows at a time, so the radii are the one draw-sized
+        # temporary
         out = np.empty((size, self.dim)) if out is None else out
         chunks = [slice(lo, lo + ROWS) for lo in range(0, size, ROWS)]
         for s in chunks:
