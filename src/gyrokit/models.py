@@ -135,7 +135,8 @@ class EinsteinModel(GyroModel):
         if a.shape[-1:] != (self.dim,):
             return None
         aa = self._dot(a, a)
-        return aa if np.all(np.sqrt(aa) < self.c) else None
+        # one sqrt of the largest |a|^2: sqrt is monotone, and a NaN fails
+        return aa if np.sqrt(aa.max(initial=0.0)) < self.c else None
 
     def norm(self, a):
         a = np.asarray(a, dtype=float)

@@ -69,6 +69,28 @@ class TestEinstein:
         out = e.op([1.0, 0, 0], [1.0, 0, 0])
         assert out[0] == pytest.approx(one_dim_add(1.0, 1.0, c=2.0))
 
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_carrier_check_matches_every_row_form(self, c):
+        # _sq tests sqrt of the largest |a|^2 once, where it tested every
+        # row's sqrt; the verdicts must agree
+        model = EinsteinModel(dim=3, c=c)
+        edge = np.nextafter(c, 0)
+        rows = [[0.0, 0.0, 0.0], [edge, 0.0, 0.0], [c, 0.0, 0.0],
+                [0.0, -edge, 0.0], [0.0, 0.0, -c], [np.nan, 0.0, 0.0],
+                [np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0],
+                [0.5 * c, 0.5 * c, 0.5 * c], [0.6 * c, 0.6 * c, 0.6 * c]]
+        batches = [np.empty((0, 3)), np.empty((2, 0, 3))]
+        batches += [np.array(r) for r in rows]           # 0-d batches
+        batches += [np.array([[0.1, 0.2, 0.3], r]) for r in rows]
+        batches.append(np.array(rows[:5]).reshape(5, 1, 3))
+        for a in batches:
+            aa = model._dot(a, a)
+            want = bool(np.all(np.sqrt(aa) < c))
+            got = model._sq(a)
+            assert (got is not None) == want
+            if want:
+                assert np.array_equal(got, aa)
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sample_draw_pinned(self, dim, seed):
