@@ -23,17 +23,18 @@ exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
 a replayable witness, never exceptions.
 
-Continuous sweeps run in consecutive blocks of ``ROWS`` rows after one
-full draw, whose slots are column-major: the Einstein kernels read their
-(N, d) operands column by column, so each column is one contiguous read.
-The model writes the draw into its slots in place (an Einstein draw
-``ROWS`` rows at a time), and the blocks are independent, so they run on
-a thread pool made for the sweep, one worker per available CPU
-(``_mapped``).  Finite sweeps run one slab of
+Continuous sweeps run in consecutive blocks of ``ROWS`` rows, and no
+draw-sized array ever exists: one serial pass (the model's ``replay``)
+records the RNG state at which each block's samples start, and each
+block draws its own rows from those states into column-major slots (the
+Einstein kernels read their (N, d) operands column by column, so each
+column is one contiguous read).  The blocks are independent, so they
+are drawn and swept on a thread pool made for the sweep, one worker per
+available CPU (``_mapped``), and memory is bounded by one block per
+worker, whatever the sample count.  Finite sweeps run one slab of
 max(``CHUNK`` // n^2, 1) whole first indices at a time (``_slabs``).
 Each check's verdicts are merged so that the report equals that of one
-pass over all rows, and memory is bounded by the draw plus the
-temporaries of one block per worker.  Within a block,
+pass over all rows.  Within a block,
 each gyration gyr[a, b] is applied once to a stack of its arguments, and
 each sum a + b is formed once.  A finite ``check_identities`` block is
 the index grid of its slab.  ``check_axioms`` on a finite table reads
@@ -44,6 +45,7 @@ is built.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from abc import ABC, abstractmethod
@@ -126,9 +128,21 @@ class GyroModel(ABC):
         """Whether a lies in the carrier."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int, out=None):
-        """Draw ``size`` carrier elements, written into ``out`` when it is
-        given, and returned."""
+    def sample(self, rng: np.random.Generator, size: int):
+        """Draw ``size`` carrier elements."""
+
+    def replay(self, rng: np.random.Generator, size: int, starts):
+        """Consume from ``rng`` what ``sample(rng, size)`` consumes, and
+        return ``write(out, a, b)``, which writes rows [a, b) of that draw
+        into ``out``; ``starts`` are the increasing first rows a, from 0.
+        The writers of continuous models redraw their rows from recorded
+        RNG states, and may run on concurrent threads; this default keeps
+        the whole draw."""
+        draw = self.sample(rng, size)
+
+        def write(out, a, b):
+            out[...] = draw[a:b]
+        return write
 
     def gyr(self, a, b, z):
         """The gyration gyr[a, b](z); overridable by a closed form."""
@@ -245,30 +259,42 @@ def read_json(source, error: type[ValueError], **loads_kwargs):
         raise error(f"invalid JSON: {e}") from None
 
 
-def _triples(model: GyroModel, spec: SampleSpec):
-    """Element triples (X, Y, Z) of a continuous sweep.
+def _streamed(model: GyroModel, spec: SampleSpec) -> list:
+    """A continuous sweep's blocks, as functions that each draw one.
 
-    Independent seeded draws, with the stress elements rotated through
-    the three slots so every stress point meets every role.  Each slot is
-    column-major, and the model draws into it in place.
-    """
+    Three seeded slots of ``len(stress) + spec.count`` rows, the stress
+    elements rotated through their first rows so every stress point meets
+    every role, are cut into consecutive blocks of ``ROWS`` rows, the
+    remainder joining the last block so that no block is shorter.  Only
+    the model's ``replay`` consumes the seed, here; each block then writes
+    its rows of the three slots into column-major arrays of its own."""
     rng = np.random.default_rng(spec.seed)
     stress = model.stress_elements()
-    slots = []
-    for k in range(3):
-        head = np.stack(stress[k:] + stress[:k])
-        slot = np.empty((len(head) + spec.count,) + head.shape[1:],
-                        head.dtype, order="F")
-        slot[:len(head)] = head
-        model.sample(rng, spec.count, out=slot[len(head):])
-        slots.append(slot)
-    return tuple(slots)
+    h = len(stress)
+    heads = [np.stack(stress[k:] + stress[:k]) for k in range(3)]
+    rows = h + spec.count
+    cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
+    # slot row r is sample r - h
+    starts = [max(lo - h, 0) for lo in cuts[:-1]]
+    writers = [model.replay(rng, spec.count, starts) for _ in heads]
+
+    def block(lo, hi):
+        slots = []
+        for head, write in zip(heads, writers):
+            slot = np.empty((hi - lo,) + head.shape[1:], head.dtype,
+                            order="F")
+            skip = max(h - lo, 0)
+            slot[:skip] = head[lo:lo + skip]
+            write(slot[skip:], lo + skip - h, hi - h)
+            slots.append(slot)
+        return tuple(slots)
+    return [functools.partial(block, lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _blocks(model: GyroModel, spec: SampleSpec):
-    """A sweep's triples in blocks: consecutive slices of ``ROWS`` rows of
-    one ``_triples`` draw, the remainder joining the last block so that no
-    block is shorter, or the index grids of the finite cube's ``_slabs``."""
+    """A sweep's triples in blocks: the drawn ``_streamed`` blocks, or the
+    index grids of the finite cube's ``_slabs``."""
     if model.is_finite:
         n = model.n
         for lo, hi in _slabs(n):
@@ -276,11 +302,8 @@ def _blocks(model: GyroModel, spec: SampleSpec):
             idx[0] += lo
             yield tuple(idx)
         return
-    draw = _triples(model, spec)
-    rows = len(draw[0])
-    cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield tuple(t[lo:hi] for t in draw)
+    for block in _streamed(model, spec):
+        yield block()
 
 
 def _workers(items: int) -> int:
@@ -310,15 +333,42 @@ def _mapped(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Fix glibc's mmap threshold at 8 MiB and its trim threshold at
+    32 MiB, once per process.
+
+    A streamed sweep allocates and frees block-sized arrays throughout.
+    glibc raises both thresholds only as far as the largest freed mmapped
+    chunk, so they would stay low, and every block's temporaries would be
+    handed back to the kernel and faulted in again.  Nothing is done on
+    another C library, or where it has no ``mallopt``."""
+    # imported here: a process that never streams a sweep need not
+    import ctypes
+    libc = ctypes.CDLL(None)
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
 def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
     """Run ``checks(model, x, y, z)`` on every block and merge per check.
-    Continuous blocks, views of one draw, run on threads; finite index
-    grids are built and swept one at a time."""
-    def run(xyz):
-        return checks(model, *xyz)
-    blocks = _blocks(model, spec)
-    return _merged(model, map(run, blocks) if model.is_finite
-                   else _mapped(run, blocks))
+    Continuous blocks are drawn and swept on threads, under the pinned
+    allocator thresholds; finite index grids are built and swept one at a
+    time."""
+    if model.is_finite:
+        return _merged(model, (checks(model, *idx)
+                               for idx in _blocks(model, spec)))
+    _pin_allocator()
+    return _merged(model, _mapped(lambda block: checks(model, *block()),
+                                  _streamed(model, spec)))
 
 
 def _merged(model: GyroModel, parts) -> AxiomReport:

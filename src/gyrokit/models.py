@@ -73,6 +73,15 @@ def radial_third(r: float, c: float = 1.0) -> float:
     return c * math.tanh(math.atanh(r / c) / 3.0)
 
 
+def _replayed(bg, state, skip: int = 0) -> np.random.Generator:
+    """A generator on a new bit generator of ``bg``'s type at ``state``,
+    advanced by ``skip`` 64-bit words: one per uniform double."""
+    out = type(bg)()
+    out.state = state
+    out.advance(skip)
+    return np.random.Generator(out)
+
+
 class EinsteinModel(GyroModel):
     """Relativistically admissible velocities: {v in R^d : |v| < c}.
 
@@ -217,21 +226,34 @@ class EinsteinModel(GyroModel):
         d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
         return self._fold(np.maximum, d)
 
-    def sample(self, rng: np.random.Generator, size: int, out=None):
-        # uniform in the ball of radius 0.99c: all the normals, then all the
-        # radii, as one whole draw makes them; the normals are written and
-        # scaled ROWS rows at a time, so the radii are the one draw-sized
-        # temporary
-        out = np.empty((size, self.dim)) if out is None else out
-        chunks = [slice(lo, lo + ROWS) for lo in range(0, size, ROWS)]
-        for s in chunks:
-            out[s] = rng.normal(size=out[s].shape)
-        r = rng.random(size)
-        for s in chunks:
-            v = out[s]
-            v /= self.norm(v)[:, None]
-            v *= 0.99 * self.c * r[s, None] ** (1.0 / self.dim)
+    def sample(self, rng: np.random.Generator, size: int):
+        out = np.empty((size, self.dim))
+        self.replay(rng, size, [0])(out, 0, size)
         return out
+
+    def replay(self, rng: np.random.Generator, size: int, starts):
+        # uniform in the ball of radius 0.99c: all the normals, then all the
+        # radii, as one whole draw makes them.  The pass over the normals
+        # only finds the state at each start, and that of the radii: a
+        # range redraws its own normals, and advances to its radii
+        bg = rng.bit_generator
+        buf = np.empty((min(size, ROWS), self.dim))
+        states = {}
+        cuts = list(starts) + [size]
+        for a, b in zip(cuts, cuts[1:]):
+            states[a] = bg.state
+            for lo in range(a, b, ROWS):
+                rng.standard_normal(out=buf[:min(ROWS, b - lo)])
+        radii = bg.state
+        bg.advance(size)
+
+        def write(out, a, b):
+            # normal, not standard_normal: 0 + 1 x turns a -0.0 into +0.0
+            out[...] = _replayed(bg, states[a]).normal(size=(b - a, self.dim))
+            r = _replayed(bg, radii, a).random(b - a)
+            out /= self.norm(out)[:, None]
+            out *= 0.99 * self.c * r[:, None] ** (1.0 / self.dim)
+        return write
 
     def stress_elements(self) -> list:
         e1 = np.zeros(self.dim)
@@ -298,9 +320,23 @@ class MobiusModel(GyroModel):
     def residual(self, a, b):
         return np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
-    def sample(self, rng: np.random.Generator, size: int, out=None):
-        phase = np.exp(2j * math.pi * rng.random(size))
-        return np.multiply(0.99 * np.sqrt(rng.random(size)), phase, out=out)
+    def sample(self, rng: np.random.Generator, size: int):
+        out = np.empty(size, complex)
+        self.replay(rng, size, [0])(out, 0, size)
+        return out
+
+    def replay(self, rng: np.random.Generator, size: int, starts):
+        # all the phases, then all the radii, one word per uniform: a range
+        # starts at the state advanced by its first row
+        bg = rng.bit_generator
+        state = bg.state
+        bg.advance(2 * size)
+
+        def write(out, a, b):
+            phase = np.exp(2j * math.pi * _replayed(bg, state, a).random(b - a))
+            radius = np.sqrt(_replayed(bg, state, size + a).random(b - a))
+            np.multiply(0.99 * radius, phase, out=out)
+        return write
 
     def stress_elements(self) -> list:
         return [0j, 0.9 + 0j, 0.99j, -0.9j,
@@ -409,12 +445,8 @@ class FiniteTable(GyroModel):
     def residual(self, a, b):
         return (np.asarray(a) != np.asarray(b)).astype(float)
 
-    def sample(self, rng: np.random.Generator, size: int, out=None):
-        draw = rng.integers(0, self.n, size=size)
-        if out is None:
-            return draw
-        out[...] = draw
-        return out
+    def sample(self, rng: np.random.Generator, size: int):
+        return rng.integers(0, self.n, size=size)
 
     def to_payload(self, a):
         return int(a)

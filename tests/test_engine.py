@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from gyrokit.cli import main
 from gyrokit.core import (CHUNK, ROWS, AxiomReport, CarrierError, CheckResult,
                           SampleSpec, TableError, _axiom_checks, _blocks,
                           _finite_extras, _identity_checks, _left_division,
-                          _merged, _swept, _triples, _verdict, first_hit)
+                          _merged, _streamed, _swept, _verdict, first_hit)
 from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
                              _invariant_restriction, admissible_hull,
                              build_dyadic_family, prenorm_laws_check, shrink)
 from gyrokit.sets import oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path, load_bundled, set_of_bits)
+                      bundled_table_path, load_bundled, set_of_bits, triples)
 
 
 def test_tensor_matches_brute_gyr(g8):
@@ -315,7 +316,7 @@ def test_blocked_sweeps_match_whole_draw(model):
     # three full blocks plus a remainder; at eps 1e-15 most checks fail,
     # so the witnesses are compared too
     spec = SampleSpec(3 * ROWS + 1234, seed=605021745)
-    xyz = _triples(model, spec)
+    xyz = triples(model, spec)
     assert len(list(_blocks(model, spec))) == 3
     for sweep, checks in ((check_axioms, _axiom_checks),
                           (check_identities, _identity_checks)):
@@ -348,7 +349,7 @@ def planted(values, x):
 def test_block_merge_picks_the_first_worst_row(cells):
     model = MobiusModel(eps=0.1)
     spec = SampleSpec(3 * ROWS + 100, seed=4)
-    x = _triples(model, spec)[0]
+    x = triples(model, spec)[0]
     values = np.zeros(len(x))
     for i, v in cells.items():
         values[i] = v
@@ -362,10 +363,14 @@ def test_block_merge_picks_the_first_worst_row(cells):
 class OutsideLast(EinsteinModel):
     """The Einstein ball whose last drawn row of each slot lies outside."""
 
-    def sample(self, rng, size, out=None):
-        out = super().sample(rng, size, out)
-        out[-1:] = 2.0 * self.c / np.sqrt(self.dim)
-        return out
+    def replay(self, rng, size, starts):
+        write = super().replay(rng, size, starts)
+
+        def outside_last(out, a, b):
+            write(out, a, b)
+            if b == size:
+                out[-1:] = 2.0 * self.c / np.sqrt(self.dim)
+        return outside_last
 
 
 def test_late_block_error_surfaces_as_in_a_serial_sweep():
@@ -373,7 +378,7 @@ def test_late_block_error_surfaces_as_in_a_serial_sweep():
     model = OutsideLast(dim=3)
     spec = SampleSpec(4 * ROWS, seed=2)
     with pytest.raises(CarrierError) as serial:
-        _axiom_checks(model, *_triples(model, spec))
+        _axiom_checks(model, *triples(model, spec))
     for sweep in (check_axioms, check_identities):
         with pytest.raises(CarrierError) as pooled:
             sweep(model, spec)
@@ -381,7 +386,7 @@ def test_late_block_error_surfaces_as_in_a_serial_sweep():
     # blocks from the second on raise, each naming its first row: the
     # first of them in block order surfaces, as from a serial loop
     mobius = MobiusModel()
-    x = _triples(mobius, spec)[0]
+    x = triples(mobius, spec)[0]
 
     def checks(model, xb, y, z):
         lo = block_start(x, xb)
@@ -403,6 +408,57 @@ def test_sweeps_leave_no_threads_behind():
         assert threading.active_count() == before
 
 
+def fake_libc(*missing):
+    """A C library whose ``mallopt`` records its calls, without the
+    functions named in ``missing``."""
+    calls = []
+    libc = types.SimpleNamespace(
+        calls=calls, gnu_get_libc_version=lambda: b"2.99",
+        mallopt=lambda param, value: calls.append((param, value)))
+    for name in missing:
+        delattr(libc, name)
+    return libc
+
+
+def pinned_with(monkeypatch, libc):
+    """Run ``_pin_allocator`` twice with ``ctypes.CDLL`` giving ``libc``."""
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    core._pin_allocator.cache_clear()
+    try:
+        core._pin_allocator()
+        core._pin_allocator()
+    finally:
+        core._pin_allocator.cache_clear()
+
+
+def test_allocator_pin_is_set_once(monkeypatch):
+    libc = fake_libc()
+    pinned_with(monkeypatch, libc)
+    assert libc.calls == [(-3, 8 << 20), (-1, 32 << 20)]
+
+
+@pytest.mark.parametrize("missing", ["mallopt", "gnu_get_libc_version"])
+def test_allocator_pin_needs_glibc_mallopt(monkeypatch, missing):
+    libc = fake_libc(missing)
+    pinned_with(monkeypatch, libc)
+    assert libc.calls == []
+
+
+def test_only_continuous_sweeps_pin_the_allocator(monkeypatch, g8):
+    calls = []
+    monkeypatch.setattr(core, "_pin_allocator", lambda: calls.append(1))
+    check_axioms(g8)
+    check_identities(g8)
+    H = FiniteSet(8, indices=[0])
+    micro_assoc_check(g8, H, FiniteSet(8, indices=range(8)))
+    micro_assoc_check(EinsteinModel(dim=3), RadialBall(0.3), RadialBall(0.5),
+                      SampleSpec(100, seed=1))
+    assert calls == []
+    check_identities(MobiusModel(), SampleSpec(10, seed=1))
+    assert calls == [1]
+
+
 def test_pooled_sweeps_hold_with_more_workers_than_cores(monkeypatch):
     # eight workers and a short switch interval: merged blocks must still
     # report the whole draw, and micro-associativity batches the loop
@@ -413,7 +469,7 @@ def test_pooled_sweeps_hold_with_more_workers_than_cores(monkeypatch):
         model = MobiusModel(eps=1e-15)
         spec = SampleSpec(8 * ROWS + 5, seed=9)
         assert check_identities(model, spec).to_json_lines() == whole_report(
-            model, _identity_checks, *_triples(model, spec))
+            model, _identity_checks, *triples(model, spec))
         W, V, spec = RadialBall(0.3), RadialBall(0.5), SampleSpec(600, seed=2)
         assert (micro_assoc_check(model, W, V, spec)
                 == loop_micro_assoc(model, W, V, spec))
@@ -425,7 +481,7 @@ def test_pooled_sweeps_hold_with_more_workers_than_cores(monkeypatch):
 def test_stacked_gyr_matches_separate_calls(name, request):
     # the sweep bodies apply gyr[x, y] once to a stack of arguments
     model = request.getfixturevalue(name)
-    x, y, z = _triples(model, SampleSpec(5000, seed=3)) if name != "g8" \
+    x, y, z = triples(model, SampleSpec(5000, seed=3)) if name != "g8" \
         else np.indices((8, 8, 8)).reshape(3, -1)
     ws = [z, model.op(z, x), x, model.inv(y)]
     stacked = model.gyr(x, y, np.stack(ws))
@@ -445,7 +501,8 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
     # sweeps draw column-major slots; every kernel must give the bits it
     # gives on C-ordered rows
     model = EinsteinModel(dim=dim)
-    draw = _triples(model, SampleSpec(5000, seed=11))
+    [block] = _streamed(model, SampleSpec(5000, seed=11))
+    draw = block()
     assert all(t.flags.f_contiguous and not t.flags.c_contiguous
                for t in draw)
     rows = [np.ascontiguousarray(t) for t in draw]
@@ -463,7 +520,7 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
 
 
 def whole_slot_draw(model, spec):
-    """The three slots of ``_triples`` as whole-slot draws concatenated
+    """The three slots of a sweep's draw as whole-slot draws concatenated
     after the rotated stress elements: the reference."""
     rng = np.random.default_rng(spec.seed)
     stress = model.stress_elements()
@@ -481,33 +538,66 @@ def whole_slot_draw(model, spec):
     return slots
 
 
+STRESS = 5  # rows of stress elements at the head of every slot
+
+
 @pytest.mark.parametrize("model", [EinsteinModel(dim=2),
                                    EinsteinModel(dim=3, c=1.5),
                                    MobiusModel()], ids=["e2", "e3", "mobius"])
-@pytest.mark.parametrize("count", [0, 1, ROWS - 1, ROWS, ROWS + 1,
-                                   3 * ROWS + 5])
+@pytest.mark.parametrize("count", [0, 1, ROWS - STRESS - 1, ROWS - STRESS,
+                                   ROWS - STRESS + 1, ROWS - 1, ROWS,
+                                   ROWS + 1, 3 * ROWS + 5])
 def test_chunked_draw_matches_whole_slot_draw(model, count):
-    # the draw is written in place, ROWS rows at a time
+    # each block draws its rows from recorded RNG states, in any order
+    assert len(model.stress_elements()) == STRESS
     spec = SampleSpec(count, seed=605021745)
-    got = _triples(model, spec)
-    for slot, want in zip(got, whole_slot_draw(model, spec)):
-        assert slot.flags.f_contiguous
-        assert slot.dtype == want.dtype
-        assert np.array_equal(slot, want)
+    want = whole_slot_draw(model, spec)
+    rows = STRESS + count
+    blocks = _streamed(model, spec)
+    assert len(blocks) == max(rows // ROWS, 1)
+    drawn = [block() for block in reversed(blocks)][::-1]
+    lo = 0
+    for k, xyz in enumerate(drawn):
+        hi = rows if k == len(blocks) - 1 else lo + ROWS
+        for slot, whole in zip(xyz, want):
+            assert slot.flags.f_contiguous
+            assert slot.dtype == whole.dtype
+            assert np.array_equal(slot, whole[lo:hi])
+        lo = hi
+    assert lo == rows
 
 
-def test_draw_peak_is_its_slots():
-    # the draw's only temporaries beyond its three slots are the radii
-    # and one chunk's
+@pytest.mark.parametrize("model", [EinsteinModel(dim=2),
+                                   EinsteinModel(dim=3, c=1.5),
+                                   MobiusModel()], ids=["e2", "e3", "mobius"])
+@pytest.mark.parametrize("count", [0, 1, ROWS - 1, 3 * ROWS + 5])
+def test_replay_leaves_rng_where_sample_does(model, count):
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    starts = [0] + [k * ROWS - STRESS for k in range(1, count // ROWS)]
+    model.replay(rng, count, starts)
+    model.sample(ref, count)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def streamed_peak(count: int) -> int:
+    """tracemalloc's peak over a streamed Einstein d=3 ``check_axioms``."""
     model = EinsteinModel(dim=3)
-    spec = SampleSpec(200_000, seed=0)
     tracemalloc.start()
     try:
-        slots = _triples(model, spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert check_axioms(model, SampleSpec(count, seed=0)).passed
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * sum(t.nbytes for t in slots)
+
+
+def test_streamed_sweep_peak_does_not_grow_with_the_count(monkeypatch):
+    # two workers on any machine: the peak is theirs, not the draw's
+    monkeypatch.setattr(core, "_workers", lambda items: min(2, items))
+    small, large = streamed_peak(200_000), streamed_peak(800_000)
+    block = 3 * ROWS * 3 * 8  # one block's three Einstein d=3 slots
+    assert large < small + block
+    # and below the bound on the whole draw of 2*10^5 samples' slots
+    assert large < 1.3 * 3 * (200_000 + STRESS) * 3 * 8
 
 
 def test_mobius_gyr_bits_do_not_depend_on_batch_length():

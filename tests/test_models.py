@@ -5,9 +5,9 @@ import pytest
 
 from gyrokit import (CarrierError, EinsteinModel, TableError, cyclic_table,
                      radial_add, radial_half, radial_third, table_load)
-from gyrokit.core import SampleSpec, _triples
+from gyrokit.core import SampleSpec
 
-from conftest import bundled_table_path
+from conftest import bundled_table_path, triples
 
 
 def one_dim_add(u, v, c=1.0):
@@ -142,7 +142,7 @@ class TestEinstein:
     @pytest.mark.parametrize("c", [1.0, 2.5])
     def test_closed_form_gyr_matches_formula(self, dim, c):
         model = EinsteinModel(dim=dim, c=c)
-        x, y, z = _triples(model, SampleSpec(10_000, seed=dim))
+        x, y, z = triples(model, SampleSpec(10_000, seed=dim))
         assert len(x) == 10_000 + len(model.stress_elements())
         res = model.residual(model.gyr(x, y, z), model.gyr_formula(x, y, z))
         assert res.max() <= 1e-11
