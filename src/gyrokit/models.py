@@ -134,10 +134,12 @@ class EinsteinModel(GyroModel):
 
     def _dot(self, a, b):
         """<a, b> over the last axis: the column products added left to
-        right, the rounding of ``_fold(np.add, a * b)`` without its
-        (..., d) temporary."""
-        return functools.reduce(
-            np.add, (a[..., k] * b[..., k] for k in range(self.dim)))
+        right into the first, the rounding of ``_fold(np.add, a * b)``
+        without its (..., d) temporary or a new array per sum."""
+        out = a[..., 0] * b[..., 0]
+        for k in range(1, self.dim):
+            out += a[..., k] * b[..., k]
+        return out
 
     def _sq(self, a):
         """|a|^2 of a float batch, or None unless every a is in the carrier."""
