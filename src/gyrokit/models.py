@@ -229,15 +229,23 @@ class EinsteinModel(GyroModel):
         return self._fold(np.maximum, d)
 
     def sample(self, rng: np.random.Generator, size: int):
-        out = np.empty((size, self.dim))
-        self.replay(rng, size, [0])(out, 0, size)
-        return out
+        # uniform in the ball of radius 0.99c: all the normals, then all
+        # the radii
+        v = rng.normal(size=(size, self.dim))
+        return self._scaled(v, rng.random(size))
+
+    def _scaled(self, v, r):
+        """The normal draws v scaled in place to the radii 0.99c r^(1/d),
+        for uniform draws r: the arithmetic of ``sample``, and of every
+        ``replay`` range."""
+        v /= self.norm(v)[:, None]
+        v *= 0.99 * self.c * r[:, None] ** (1.0 / self.dim)
+        return v
 
     def replay(self, rng: np.random.Generator, size: int, starts):
-        # uniform in the ball of radius 0.99c: all the normals, then all the
-        # radii, as one whole draw makes them.  The pass over the normals
-        # only finds the state at each start, and that of the radii: a
-        # range redraws its own normals, and advances to its radii
+        # a normal takes a varying number of words, so the pass over the
+        # normals only finds the state at each start, and that of the
+        # radii: a range redraws its own normals, and advances to its radii
         bg = rng.bit_generator
         buf = np.empty((min(size, ROWS), self.dim))
         states = {}
@@ -252,9 +260,7 @@ class EinsteinModel(GyroModel):
         def write(out, a, b):
             # normal, not standard_normal: 0 + 1 x turns a -0.0 into +0.0
             out[...] = _replayed(bg, states[a]).normal(size=(b - a, self.dim))
-            r = _replayed(bg, radii, a).random(b - a)
-            out /= self.norm(out)[:, None]
-            out *= 0.99 * self.c * r[:, None] ** (1.0 / self.dim)
+            self._scaled(out, _replayed(bg, radii, a).random(b - a))
         return write
 
     def stress_elements(self) -> list:
@@ -323,21 +329,27 @@ class MobiusModel(GyroModel):
         return np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
 
     def sample(self, rng: np.random.Generator, size: int):
-        out = np.empty(size, complex)
-        self.replay(rng, size, [0])(out, 0, size)
-        return out
+        # all the phases, then all the radii
+        phase = rng.random(size)
+        return self._polar(phase, rng.random(size))
+
+    @staticmethod
+    def _polar(phase, radius, out=None):
+        """The points 0.99 sqrt(radius) e^(2 pi i phase) for uniform draws:
+        the arithmetic of ``sample``, and of every ``replay`` range."""
+        return np.multiply(0.99 * np.sqrt(radius),
+                           np.exp(2j * math.pi * phase), out=out)
 
     def replay(self, rng: np.random.Generator, size: int, starts):
-        # all the phases, then all the radii, one word per uniform: a range
-        # starts at the state advanced by its first row
+        # one word per uniform: a range starts at the state advanced by its
+        # first row
         bg = rng.bit_generator
         state = bg.state
         bg.advance(2 * size)
 
         def write(out, a, b):
-            phase = np.exp(2j * math.pi * _replayed(bg, state, a).random(b - a))
-            radius = np.sqrt(_replayed(bg, state, size + a).random(b - a))
-            np.multiply(0.99 * radius, phase, out=out)
+            self._polar(_replayed(bg, state, a).random(b - a),
+                        _replayed(bg, state, size + a).random(b - a), out)
         return write
 
     def stress_elements(self) -> list:

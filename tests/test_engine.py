@@ -571,12 +571,35 @@ def test_chunked_draw_matches_whole_slot_draw(model, count):
                                    EinsteinModel(dim=3, c=1.5),
                                    MobiusModel()], ids=["e2", "e3", "mobius"])
 @pytest.mark.parametrize("count", [0, 1, ROWS - 1, 3 * ROWS + 5])
-def test_replay_leaves_rng_where_sample_does(model, count):
+def test_replay_draws_as_sample_does(model, count):
+    # sample draws at once what the writers of replay draw range by range,
+    # and both leave rng in the same state
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     starts = [0] + [k * ROWS - STRESS for k in range(1, count // ROWS)]
-    model.replay(rng, count, starts)
-    model.sample(ref, count)
+    write = model.replay(rng, count, starts)
+    want = model.sample(ref, count)
     assert rng.bit_generator.state == ref.bit_generator.state
+    cuts = starts + [count]
+    for a, b in reversed(list(zip(cuts, cuts[1:]))):
+        got = np.empty_like(want[a:b])
+        write(got, a, b)
+        assert np.array_equal(got, want[a:b])
+
+
+class WholeDrawMobius(MobiusModel):
+    """The Moebius disk on the default ``replay``, which keeps its whole
+    ``sample`` draw."""
+
+    replay = core.GyroModel.replay
+
+
+def test_default_replay_sweeps_as_the_streamed_one():
+    # a model that only samples sweeps as if it streamed its draw
+    model, whole = MobiusModel(eps=1e-15), WholeDrawMobius(eps=1e-15)
+    spec = SampleSpec(2 * ROWS + 77, seed=12)
+    for sweep in (check_axioms, check_identities):
+        assert (sweep(whole, spec).to_json_lines()
+                == sweep(model, spec).to_json_lines())
 
 
 def streamed_peak(count: int) -> int:
