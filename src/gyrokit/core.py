@@ -71,8 +71,9 @@ __all__ = [
 # one block: 2^14 slowed the load of order-32 and -48 tables.
 CHUNK = 2 ** 16
 
-# Rows per continuous sweep block, and per chunk of an Einstein draw: a
-# block's temporaries then fit in L2, where 2^16 rows did not.
+# Rows per continuous sweep block, and per chunk of the pass over an
+# Einstein draw's normals: a block's temporaries then fit in L2, where
+# 2^16 rows did not.
 ROWS = 2 ** 14
 
 
@@ -354,6 +355,7 @@ def _pin_allocator() -> None:
     if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
         return
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 8 << 20)
     mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 

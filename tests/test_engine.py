@@ -614,9 +614,11 @@ def streamed_peak(count: int) -> int:
 
 
 def test_streamed_sweep_peak_does_not_grow_with_the_count(monkeypatch):
-    # two workers on any machine: the peak is theirs, not the draw's
-    monkeypatch.setattr(core, "_workers", lambda items: min(2, items))
-    small, large = streamed_peak(200_000), streamed_peak(800_000)
+    # one worker, so that the peak is one block's, not that of whichever
+    # blocks happen to overlap; about 8*10^5 samples against 2*10^5, with
+    # last blocks of the same length, as the longest block sets the peak
+    monkeypatch.setattr(core, "_workers", lambda items: 1)
+    small, large = streamed_peak(200_000), streamed_peak(200_000 + 36 * ROWS)
     block = 3 * ROWS * 3 * 8  # one block's three Einstein d=3 slots
     assert large < small + block
     # and below the bound on the whole draw of 2*10^5 samples' slots
