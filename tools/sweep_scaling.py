@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Stage times and peak memory of continuous sweeps as the sample count grows.
+"""Stage times, minor page faults and peak memory of continuous sweeps as
+the sample count grows.
 
-    python3 tools/sweep_scaling.py
+    python3 tools/sweep_scaling.py [COUNT ...]
 
-For Einstein d=3 and Moebius at each sample count in ``COUNTS``, times
-the seeded draw of the sweep's triples (``core._triples``) on its own,
-then ``check_axioms`` and ``check_identities``, each of which draws again
-and sweeps the draw in blocks of ``core.ROWS`` rows on a thread pool; the
-``workers`` column is that pool's size.  Each model and count
-runs in a fresh Python process, so that its peak resident memory
-(``getrusage``'s ``ru_maxrss``) is its own; the process's imports count
-towards it.  Prints the seconds of each stage and the peak MiB.
+For Einstein d=3 and Moebius at each sample count (``COUNTS`` unless
+counts are given), times the serial pre-pass of a sweep's draw on its
+own: the three ``replay`` calls of ``core._streamed``, which record the
+RNG states each block draws from.  Then it times ``check_axioms`` and
+``check_identities``, each of which runs the pre-pass again, then draws
+and sweeps its blocks of ``core.ROWS`` rows on a thread pool; the
+``workers`` column is that pool's size.  Each model and count runs in a
+fresh Python process, so that its peak resident memory (``getrusage``'s
+``ru_maxrss``) is its own; the process's imports count towards it.
+Prints the seconds and the minor page faults (``ru_minflt``) of each
+stage, and the peak MiB: allocator churn, memory handed back to the
+kernel and faulted in again, shows as faults that grow with the count.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -24,16 +29,18 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-COUNTS = [100_000, 1_000_000, 4_000_000]
+COUNTS = [100_000, 1_000_000, 4_000_000, 10_000_000]
 MODELS = ["einstein-d3", "mobius"]
+STAGES = ["prepass", "check", "identities"]
 SEED = 0
 
 # run in a fresh process with argv[1] = model, argv[2] = count; prints
-# {"draw_s", "check_s", "identities_s", "passed", "peak_mib", "workers"}
+# {stage + "_s", stage + "_minflt" for each stage, "passed", "peak_mib",
+#  "workers"}
 CHILD = f"""
 import json, resource, sys, time
 from gyrokit import EinsteinModel, MobiusModel, check_axioms, check_identities
-from gyrokit.core import ROWS, SampleSpec, _triples, _workers
+from gyrokit.core import SampleSpec, _streamed, _workers
 
 model = {{"einstein-d3": EinsteinModel(dim=3),
           "mobius": MobiusModel()}}[sys.argv[1]]
@@ -41,18 +48,20 @@ spec = SampleSpec(int(sys.argv[2]), seed={SEED})
 out = {{}}
 
 def timed(stage, f):
+    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     r = f()
     out[stage + "_s"] = time.perf_counter() - t0
+    out[stage + "_minflt"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                              - flt)
     return r
 
-timed("draw", lambda: _triples(model, spec))
+blocks = len(timed("prepass", lambda: _streamed(model, spec)))
 out["passed"] = all([timed("check", lambda: check_axioms(model, spec)).passed,
                      timed("identities",
                            lambda: check_identities(model, spec)).passed])
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-rows = spec.count + len(model.stress_elements())
-out["workers"] = _workers(max(rows // ROWS, 1))
+out["workers"] = _workers(blocks)
 print(json.dumps(out))
 """
 
@@ -65,19 +74,22 @@ def sweep(model: str, count: int) -> dict:
     return json.loads(out.stdout)
 
 
-def main() -> int:
-    cols = ["draw", "check", "identities"]
-    print(f"{'model':<13}{'samples':>9}" + "".join(f"{c + ' s':>14}" for c in cols)
+def main(argv: list[str]) -> int:
+    counts = [int(float(a)) for a in argv] or COUNTS
+    print(f"{'model':<13}{'samples':>11}"
+          + "".join(f"{c + ' s':>14}" for c in STAGES)
+          + "".join(f"{c + ' flt':>16}" for c in STAGES)
           + f"{'peak MiB':>10}{'workers':>9}{'passed':>8}")
     for model in MODELS:
-        for count in COUNTS:
+        for count in counts:
             r = sweep(model, count)
-            print(f"{model:<13}{count:>9}"
-                  + "".join(f"{r[c + '_s']:>14.2f}" for c in cols)
+            print(f"{model:<13}{count:>11}"
+                  + "".join(f"{r[c + '_s']:>14.2f}" for c in STAGES)
+                  + "".join(f"{r[c + '_minflt']:>16}" for c in STAGES)
                   + f"{r['peak_mib']:>10.0f}{r['workers']:>9}"
                   + f"{str(r['passed']):>8}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
