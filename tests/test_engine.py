@@ -539,11 +539,12 @@ def whole_slot_draw(model, spec):
 
 
 STRESS = 5  # rows of stress elements at the head of every slot
+DRAWN = pytest.mark.parametrize(
+    "model", [EinsteinModel(dim=2), EinsteinModel(dim=3, c=1.5),
+              MobiusModel()], ids=["e2", "e3", "mobius"])
 
 
-@pytest.mark.parametrize("model", [EinsteinModel(dim=2),
-                                   EinsteinModel(dim=3, c=1.5),
-                                   MobiusModel()], ids=["e2", "e3", "mobius"])
+@DRAWN
 @pytest.mark.parametrize("count", [0, 1, ROWS - STRESS - 1, ROWS - STRESS,
                                    ROWS - STRESS + 1, ROWS - 1, ROWS,
                                    ROWS + 1, 3 * ROWS + 5])
@@ -567,9 +568,7 @@ def test_chunked_draw_matches_whole_slot_draw(model, count):
     assert lo == rows
 
 
-@pytest.mark.parametrize("model", [EinsteinModel(dim=2),
-                                   EinsteinModel(dim=3, c=1.5),
-                                   MobiusModel()], ids=["e2", "e3", "mobius"])
+@DRAWN
 @pytest.mark.parametrize("count", [0, 1, ROWS - 1, 3 * ROWS + 5])
 def test_replay_draws_as_sample_does(model, count):
     # sample draws at once what the writers of replay draw range by range,
