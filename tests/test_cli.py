@@ -232,6 +232,15 @@ def test_bad_numeric_flag_exits_two(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "identities"])
+@pytest.mark.parametrize("model", ["einstein", "mobius"])
+def test_negative_seed_exits_two(command, model, capsys):
+    # the seed is refused before any block of the sweep is drawn
+    assert main([command, "--model", model, "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("",
+                                   "error: expected non-negative integer\n")
+
+
 class TestOtherCommands:
     def test_microassoc_finite(self):
         rc = main(["microassoc", "--model", G8, "--vset", "0,1,4,5",
