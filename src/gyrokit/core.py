@@ -21,26 +21,25 @@ compared by ``check_identities``.
 Verification is sample-based: finite models are always checked
 exhaustively, continuous models with a seeded pseudorandom sampler plus
 deterministic boundary-stress points.  Failures are report entries with
-a replayable witness, never exceptions.
+a witness that reproduces the failure, never exceptions.
 
 Continuous sweeps run in consecutive blocks of ``ROWS`` rows, and no
-draw-sized array ever exists: one serial pass (the model's ``replay``)
-records the RNG state at which each block's samples start, and each
-block draws its own rows from those states into column-major slots (the
-Einstein kernels read their (N, d) operands column by column, so each
-column is one contiguous read).  The blocks are independent, so they
-are drawn and swept on a thread pool made for the sweep, one worker per
-available CPU (``_mapped``), and memory is bounded by one block per
-worker, whatever the sample count.  Finite sweeps run one slab of
-max(``CHUNK`` // n^2, 1) whole first indices at a time (``_slabs``).
-Each check's verdicts are merged so that the report equals that of one
-pass over all rows.  Within a block,
-each gyration gyr[a, b] is applied once to a stack of its arguments, and
-each sum a + b is formed once.  A finite ``check_identities`` block is
-the index grid of its slab.  ``check_axioms`` on a finite table reads
-``table``, ``inverses`` and ``G`` directly, in ``G``'s dtype: every
-check of a slab is one gather of shape (slab, n, n), and no index grid
-is built.
+draw-sized array ever exists: each block draws its own rows with the
+model's ``sample``, from a generator seeded by the sweep's seed and the
+block's place, into column-major slots (the Einstein kernels read their
+(N, d) operands column by column, so each column is one contiguous
+read).  The blocks are independent, so they are drawn and swept on a
+thread pool made for the sweep, one worker per available CPU
+(``_mapped``), and memory is bounded by one block per worker, whatever
+the sample count.  Finite sweeps run one slab of max(``CHUNK`` // n^2, 1)
+whole first indices at a time (``_slabs``).  Each check's verdicts are
+merged so that the report equals that of one pass over all rows.  Within
+a block, each gyration gyr[a, b] is applied once to a stack of its
+arguments, and each sum a + b is formed once.  A finite
+``check_identities`` block is the index grid of its slab.
+``check_axioms`` on a finite table reads ``table``, ``inverses`` and
+``G`` directly, in ``G``'s dtype: every check of a slab is one gather of
+shape (slab, n, n), and no index grid is built.
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ __all__ = [
 # one block: 2^14 slowed the load of order-32 and -48 tables.
 CHUNK = 2 ** 16
 
-# Rows per continuous sweep block, and per chunk of the pass over an
-# Einstein draw's normals: a block's temporaries then fit in L2, where
-# 2^16 rows did not.
+# Rows per continuous sweep block: a block's temporaries then fit in L2,
+# where 2^16 rows did not.  Each block draws from a generator of its own,
+# so the cuts fix the draw: another value changes continuous reports.
 ROWS = 2 ** 14
 
 
@@ -131,19 +130,6 @@ class GyroModel(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int):
         """Draw ``size`` carrier elements."""
-
-    def replay(self, rng: np.random.Generator, size: int, starts):
-        """Consume from ``rng`` what ``sample(rng, size)`` consumes, and
-        return ``write(out, a, b)``, which writes rows [a, b) of that draw
-        into ``out``; ``starts`` are the increasing first rows a, from 0.
-        The writers of continuous models redraw their rows from recorded
-        RNG states, and may run on concurrent threads; this default keeps
-        the whole draw."""
-        draw = self.sample(rng, size)
-
-        def write(out, a, b):
-            out[...] = draw[a:b]
-        return write
 
     def gyr(self, a, b, z):
         """The gyration gyr[a, b](z); overridable by a closed form."""
@@ -263,48 +249,45 @@ def read_json(source, error: type[ValueError], **loads_kwargs):
 def _streamed(model: GyroModel, spec: SampleSpec) -> list:
     """A continuous sweep's blocks, as functions that each draw one.
 
-    Three seeded slots of ``len(stress) + spec.count`` rows, the stress
-    elements rotated through their first rows so every stress point meets
-    every role, are cut into consecutive blocks of ``ROWS`` rows, the
-    remainder joining the last block so that no block is shorter.  Only
-    the model's ``replay`` consumes the seed, here; each block then writes
-    its rows of the three slots into column-major arrays of its own."""
-    rng = np.random.default_rng(spec.seed)
+    Three slots of ``len(stress) + spec.count`` rows, the stress elements
+    rotated through their first rows so every stress point meets every
+    role, are cut into consecutive blocks of ``ROWS`` rows, the remainder
+    joining the last block so that no block is shorter.  Block k of slot j
+    writes the rest of its rows with ``model.sample``, drawn from a
+    generator of its own, seeded by ``spec.seed`` and the spawn key
+    (j, k), into a column-major array."""
+    # a bad seed is refused here, before any block runs
+    entropy = np.random.SeedSequence(spec.seed).entropy
     stress = model.stress_elements()
     h = len(stress)
-    heads = [np.stack(stress[k:] + stress[:k]) for k in range(3)]
+    heads = [np.stack(stress[j:] + stress[:j]) for j in range(3)]
     rows = h + spec.count
     cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
-    # slot row r is sample r - h
-    starts = [max(lo - h, 0) for lo in cuts[:-1]]
-    writers = [model.replay(rng, spec.count, starts) for _ in heads]
 
-    def block(lo, hi):
+    def block(k, lo, hi):
         slots = []
-        for head, write in zip(heads, writers):
+        for j, head in enumerate(heads):
             slot = np.empty((hi - lo,) + head.shape[1:], head.dtype,
                             order="F")
             skip = max(h - lo, 0)
             slot[:skip] = head[lo:lo + skip]
-            write(slot[skip:], lo + skip - h, hi - h)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy, spawn_key=(j, k)))
+            slot[skip:] = model.sample(rng, hi - lo - skip)
             slots.append(slot)
         return tuple(slots)
-    return [functools.partial(block, lo, hi)
-            for lo, hi in zip(cuts, cuts[1:])]
+    return [functools.partial(block, k, lo, hi)
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
 
 
-def _blocks(model: GyroModel, spec: SampleSpec):
-    """A sweep's triples in blocks: the drawn ``_streamed`` blocks, or the
-    index grids of the finite cube's ``_slabs``."""
-    if model.is_finite:
-        n = model.n
-        for lo, hi in _slabs(n):
-            idx = np.indices((hi - lo, n, n)).reshape(3, -1)
-            idx[0] += lo
-            yield tuple(idx)
-        return
-    for block in _streamed(model, spec):
-        yield block()
+def _blocks(model: GyroModel):
+    """A finite sweep's triples in blocks: the index grids of the cube's
+    ``_slabs``."""
+    n = model.n
+    for lo, hi in _slabs(n):
+        idx = np.indices((hi - lo, n, n)).reshape(3, -1)
+        idx[0] += lo
+        yield tuple(idx)
 
 
 def _workers(items: int) -> int:
@@ -367,7 +350,7 @@ def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
     time."""
     if model.is_finite:
         return _merged(model, (checks(model, *idx)
-                               for idx in _blocks(model, spec)))
+                               for idx in _blocks(model)))
     _pin_allocator()
     return _merged(model, _mapped(lambda block: checks(model, *block()),
                                   _streamed(model, spec)))

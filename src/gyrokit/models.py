@@ -20,7 +20,6 @@ from typing import IO
 import numpy as np
 
 from .core import (
-    ROWS,
     CarrierError,
     GyroModel,
     SampleSpec,
@@ -71,15 +70,6 @@ def radial_third(r: float, c: float = 1.0) -> float:
     if not 0 <= r < c:
         raise CarrierError(f"radius must lie in [0, {c})")
     return c * math.tanh(math.atanh(r / c) / 3.0)
-
-
-def _replayed(bg, state, skip: int = 0) -> np.random.Generator:
-    """A generator on a new bit generator of ``bg``'s type at ``state``,
-    advanced by ``skip`` 64-bit words: one per uniform double."""
-    out = type(bg)()
-    out.state = state
-    out.advance(skip)
-    return np.random.Generator(out)
 
 
 class EinsteinModel(GyroModel):
@@ -230,38 +220,11 @@ class EinsteinModel(GyroModel):
 
     def sample(self, rng: np.random.Generator, size: int):
         # uniform in the ball of radius 0.99c: all the normals, then all
-        # the radii
+        # the radii; the normals are scaled in place to the radii 0.99c r^(1/d)
         v = rng.normal(size=(size, self.dim))
-        return self._scaled(v, rng.random(size))
-
-    def _scaled(self, v, r):
-        """The normal draws v scaled in place to the radii 0.99c r^(1/d),
-        for uniform draws r: the arithmetic of ``sample``, and of every
-        ``replay`` range."""
         v /= self.norm(v)[:, None]
-        v *= 0.99 * self.c * r[:, None] ** (1.0 / self.dim)
+        v *= 0.99 * self.c * rng.random(size)[:, None] ** (1.0 / self.dim)
         return v
-
-    def replay(self, rng: np.random.Generator, size: int, starts):
-        # a normal takes a varying number of words, so the pass over the
-        # normals only finds the state at each start, and that of the
-        # radii: a range redraws its own normals, and advances to its radii
-        bg = rng.bit_generator
-        buf = np.empty((min(size, ROWS), self.dim))
-        states = {}
-        cuts = list(starts) + [size]
-        for a, b in zip(cuts, cuts[1:]):
-            states[a] = bg.state
-            for lo in range(a, b, ROWS):
-                rng.standard_normal(out=buf[:min(ROWS, b - lo)])
-        radii = bg.state
-        bg.advance(size)
-
-        def write(out, a, b):
-            # normal, not standard_normal: 0 + 1 x turns a -0.0 into +0.0
-            out[...] = _replayed(bg, states[a]).normal(size=(b - a, self.dim))
-            self._scaled(out, _replayed(bg, radii, a).random(b - a))
-        return write
 
     def stress_elements(self) -> list:
         e1 = np.zeros(self.dim)
@@ -330,27 +293,8 @@ class MobiusModel(GyroModel):
 
     def sample(self, rng: np.random.Generator, size: int):
         # all the phases, then all the radii
-        phase = rng.random(size)
-        return self._polar(phase, rng.random(size))
-
-    @staticmethod
-    def _polar(phase, radius, out=None):
-        """The points 0.99 sqrt(radius) e^(2 pi i phase) for uniform draws:
-        the arithmetic of ``sample``, and of every ``replay`` range."""
-        return np.multiply(0.99 * np.sqrt(radius),
-                           np.exp(2j * math.pi * phase), out=out)
-
-    def replay(self, rng: np.random.Generator, size: int, starts):
-        # one word per uniform: a range starts at the state advanced by its
-        # first row
-        bg = rng.bit_generator
-        state = bg.state
-        bg.advance(2 * size)
-
-        def write(out, a, b):
-            self._polar(_replayed(bg, state, a).random(b - a),
-                        _replayed(bg, state, size + a).random(b - a), out)
-        return write
+        phase = np.exp(2j * math.pi * rng.random(size))
+        return 0.99 * np.sqrt(rng.random(size)) * phase
 
     def stress_elements(self) -> list:
         return [0j, 0.9 + 0j, 0.99j, -0.9j,

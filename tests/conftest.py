@@ -7,14 +7,14 @@ import pytest
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      table_load)
-from gyrokit.core import _blocks
+from gyrokit.core import _streamed
 
 
 def triples(model, spec):
     """The whole draw (X, Y, Z) of a continuous sweep: its blocks, drawn
     one after another, concatenated slot by slot."""
     return tuple(np.concatenate(slot)
-                 for slot in zip(*_blocks(model, spec)))
+                 for slot in zip(*[b() for b in _streamed(model, spec)]))
 
 
 def bundled_table_path(name: str):

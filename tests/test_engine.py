@@ -317,7 +317,7 @@ def test_blocked_sweeps_match_whole_draw(model):
     # so the witnesses are compared too
     spec = SampleSpec(3 * ROWS + 1234, seed=605021745)
     xyz = triples(model, spec)
-    assert len(list(_blocks(model, spec))) == 3
+    assert len(_streamed(model, spec)) == 3
     for sweep, checks in ((check_axioms, _axiom_checks),
                           (check_identities, _identity_checks)):
         lines = sweep(model, spec).to_json_lines()
@@ -361,16 +361,14 @@ def test_block_merge_picks_the_first_worst_row(cells):
 
 
 class OutsideLast(EinsteinModel):
-    """The Einstein ball whose last drawn row of each slot lies outside."""
+    """The Einstein ball whose last drawn row of each slot lies outside, in
+    sweeps whose last block alone draws more than ROWS rows."""
 
-    def replay(self, rng, size, starts):
-        write = super().replay(rng, size, starts)
-
-        def outside_last(out, a, b):
-            write(out, a, b)
-            if b == size:
-                out[-1:] = 2.0 * self.c / np.sqrt(self.dim)
-        return outside_last
+    def sample(self, rng, size):
+        v = super().sample(rng, size)
+        if size > ROWS:
+            v[-1:] = 2.0 * self.c / np.sqrt(self.dim)
+        return v
 
 
 def test_late_block_error_surfaces_as_in_a_serial_sweep():
@@ -519,22 +517,36 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
         assert np.array_equal(want, got)
 
 
-def whole_slot_draw(model, spec):
-    """The three slots of a sweep's draw as whole-slot draws concatenated
-    after the rotated stress elements: the reference."""
-    rng = np.random.default_rng(spec.seed)
+def whole_slot_rows(model, rng, count):
+    """``count`` rows drawn from ``rng`` as a whole slot was once drawn:
+    all the Einstein normals then all the radii, or all the Moebius phases
+    then all the radii."""
+    if isinstance(model, EinsteinModel):
+        v = rng.normal(size=(count, model.dim))
+        v /= model.norm(v)[:, None]
+        v *= 0.99 * model.c * rng.random(count)[:, None] ** (1.0 / model.dim)
+        return v
+    phase = np.exp(2j * np.pi * rng.random(count))
+    return 0.99 * np.sqrt(rng.random(count)) * phase
+
+
+def reference_draw(model, spec):
+    """The three slots of a sweep's draw, the reference: the rotated stress
+    elements, then for each block k of ROWS rows (the remainder joining
+    the last) its rows of slot j by ``whole_slot_rows``, drawn from the
+    child (j, k) of the seed's ``SeedSequence``."""
     stress = model.stress_elements()
+    h = len(stress)
+    rows = h + spec.count
+    cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
     slots = []
-    for k in range(3):
-        if isinstance(model, EinsteinModel):
-            v = rng.normal(size=(spec.count, model.dim))
-            v /= model.norm(v)[:, None]
-            v *= (0.99 * model.c
-                  * rng.random(spec.count)[:, None] ** (1.0 / model.dim))
-        else:
-            phase = np.exp(2j * np.pi * rng.random(spec.count))
-            v = 0.99 * np.sqrt(rng.random(spec.count)) * phase
-        slots.append(np.concatenate([np.stack(stress[k:] + stress[:k]), v]))
+    for j in range(3):
+        parts = [np.stack(stress[j:] + stress[:j])]
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(spec.seed, spawn_key=(j, k)))
+            parts.append(whole_slot_rows(model, rng, hi - max(lo, h)))
+        slots.append(np.concatenate(parts))
     return slots
 
 
@@ -549,10 +561,10 @@ DRAWN = pytest.mark.parametrize(
                                    ROWS - STRESS + 1, ROWS - 1, ROWS,
                                    ROWS + 1, 3 * ROWS + 5])
 def test_chunked_draw_matches_whole_slot_draw(model, count):
-    # each block draws its rows from recorded RNG states, in any order
+    # each block draws its rows from a generator of its own, in any order
     assert len(model.stress_elements()) == STRESS
     spec = SampleSpec(count, seed=605021745)
-    want = whole_slot_draw(model, spec)
+    want = reference_draw(model, spec)
     rows = STRESS + count
     blocks = _streamed(model, spec)
     assert len(blocks) == max(rows // ROWS, 1)
@@ -566,39 +578,6 @@ def test_chunked_draw_matches_whole_slot_draw(model, count):
             assert np.array_equal(slot, whole[lo:hi])
         lo = hi
     assert lo == rows
-
-
-@DRAWN
-@pytest.mark.parametrize("count", [0, 1, ROWS - 1, 3 * ROWS + 5])
-def test_replay_draws_as_sample_does(model, count):
-    # sample draws at once what the writers of replay draw range by range,
-    # and both leave rng in the same state
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    starts = [0] + [k * ROWS - STRESS for k in range(1, count // ROWS)]
-    write = model.replay(rng, count, starts)
-    want = model.sample(ref, count)
-    assert rng.bit_generator.state == ref.bit_generator.state
-    cuts = starts + [count]
-    for a, b in reversed(list(zip(cuts, cuts[1:]))):
-        got = np.empty_like(want[a:b])
-        write(got, a, b)
-        assert np.array_equal(got, want[a:b])
-
-
-class WholeDrawMobius(MobiusModel):
-    """The Moebius disk on the default ``replay``, which keeps its whole
-    ``sample`` draw."""
-
-    replay = core.GyroModel.replay
-
-
-def test_default_replay_sweeps_as_the_streamed_one():
-    # a model that only samples sweeps as if it streamed its draw
-    model, whole = MobiusModel(eps=1e-15), WholeDrawMobius(eps=1e-15)
-    spec = SampleSpec(2 * ROWS + 77, seed=12)
-    for sweep in (check_axioms, check_identities):
-        assert (sweep(whole, spec).to_json_lines()
-                == sweep(model, spec).to_json_lines())
 
 
 def streamed_peak(count: int) -> int:
@@ -644,7 +623,7 @@ def test_row_swapped_table_blocks_match_whole_cube(g8):
     T = g8.table[a[:, None], a[None, :]] * 8 + (b[:, None] + b[None, :]) % 8
     T[54, [33, 40]] = T[54, [40, 33]]
     model = FiniteTable(T, validate=False)
-    assert len(list(_blocks(model, SampleSpec()))) == 4
+    assert len(list(_blocks(model))) == 4
     cube = np.indices((n, n, n)).reshape(3, -1)
     want = AxiomReport(_axiom_checks(model, *cube)
                        + _finite_extras(model, 0, model.n,
