@@ -386,18 +386,19 @@ class FiniteTable(GyroModel):
         return bool(np.all((a >= 0) & (a < self.n)))
 
     def op(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        # tested before the int64 cast, which overflows on a huge index
+        a, b = np.asarray(a), np.asarray(b)
         if not (self.contains(a) and self.contains(b)):
             raise CarrierError("index out of range")
-        out = self.table[a, b]
+        out = self.table[a.astype(np.int64, copy=False),
+                         b.astype(np.int64, copy=False)]
         return int(out) if out.ndim == 0 else out
 
     def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
+        a = np.asarray(a)
         if not self.contains(a):
             raise CarrierError("index out of range")
-        out = self.inverses[a]
+        out = self.inverses[a.astype(np.int64, copy=False)]
         return int(out) if out.ndim == 0 else out
 
     def residual(self, a, b):
@@ -494,6 +495,13 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     if labels is not None and not (isinstance(labels, list) and all(
             isinstance(s, str) for s in labels)):
         raise TableError("'labels' must be a list of strings")
+    # ragged rows and entries beyond int64 would fail inside numpy, with its
+    # own messages: refused here with FiniteTable's texts, in its order
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise TableError("table must be square")
+    if n and not (min(map(min, table)) >= 0 and max(map(max, table)) < n):
+        raise TableError("table entries must be indices in 0..n-1")
     # identity-at-0 is enforced by the exhaustive axiom run inside FiniteTable
     return FiniteTable(table, labels=labels,
                        name=name or doc.get("name", "table"), validate=validate)

@@ -198,6 +198,28 @@ def test_malformed_input_exits_two(argv, kind, doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table,text", [
+    ([[0, 1], [1]], "table must be square"),
+    ([[0, 1], [1, 0], [0, 1]], "table must be square"),
+    ([[0, 1], [1, 10 ** 20]], "table entries must be indices in 0..n-1"),
+    ([[0, -10 ** 20], [1, 0]], "table entries must be indices in 0..n-1"),
+], ids=["ragged", "tall", "huge", "huge-negative"])
+def test_ragged_or_huge_table_exits_two(table, text, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": table}))
+    assert main(["check", "--model", f"table:{path}"]) == 2
+    assert capsys.readouterr() == ("", f"error: table rejected: {text}\n")
+
+
+@pytest.mark.parametrize("pairs", ["99999999999999999999:0",
+                                   "0:-99999999999999999999"])
+def test_huge_pair_index_exits_two(pairs, capsys):
+    chain = Path(__file__).parent / "golden" / "chains" / "g8-adm.json"
+    assert main(["metric", "--model", G8, "--chain", str(chain),
+                 "--pairs", pairs]) == 2
+    assert capsys.readouterr() == ("", "error: index out of range\n")
+
+
 def test_out_of_range_subset_exits_two(capsys):
     assert main(["cosets", "--model", Z4, "--subset", "0,9"]) == 2
     assert capsys.readouterr().err == "error: index 9 out of range 0..3\n"
