@@ -518,9 +518,9 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
 
 
 def whole_slot_rows(model, rng, count):
-    """``count`` rows drawn from ``rng`` as a whole slot was once drawn:
-    all the Einstein normals then all the radii, or all the Moebius phases
-    then all the radii."""
+    """``count`` rows drawn from ``rng`` by the whole-slot formula: all the
+    Einstein normals then all the radii, or all the Moebius phases then all
+    the radii."""
     if isinstance(model, EinsteinModel):
         v = rng.normal(size=(count, model.dim))
         v /= model.norm(v)[:, None]

@@ -5,17 +5,15 @@ the sample count grows.
     python3 tools/sweep_scaling.py [COUNT ...]
 
 For Einstein d=3 and Moebius at each sample count (``COUNTS`` unless
-counts are given), times the serial pre-pass of a sweep's draw on its
-own: the three ``replay`` calls of ``core._streamed``, which record the
-RNG states each block draws from.  Then it times ``check_axioms`` and
-``check_identities``, each of which runs the pre-pass again, then draws
-and sweeps its blocks of ``core.ROWS`` rows on a thread pool; the
-``workers`` column is that pool's size.  Each model and count runs in a
-fresh Python process, so that its peak resident memory (``getrusage``'s
-``ru_maxrss``) is its own; the process's imports count towards it.
-Prints the seconds and the minor page faults (``ru_minflt``) of each
-stage, and the peak MiB: allocator churn, memory handed back to the
-kernel and faulted in again, shows as faults that grow with the count.
+counts are given), times ``check_axioms`` and ``check_identities``, each
+of which draws and sweeps its blocks of ``core.ROWS`` rows on a thread
+pool; the ``workers`` column is that pool's size.  Each model and count
+runs in a fresh Python process, so that its peak resident memory
+(``getrusage``'s ``ru_maxrss``) is its own; the process's imports count
+towards it.  Prints the seconds and the minor page faults (``ru_minflt``)
+of each stage, and the peak MiB: allocator churn, memory handed back to
+the kernel and faulted in again, shows as faults that grow with the
+count.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -31,7 +29,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 COUNTS = [100_000, 1_000_000, 4_000_000, 10_000_000]
 MODELS = ["einstein-d3", "mobius"]
-STAGES = ["prepass", "check", "identities"]
+STAGES = ["check", "identities"]
 SEED = 0
 
 # run in a fresh process with argv[1] = model, argv[2] = count; prints
@@ -56,12 +54,11 @@ def timed(stage, f):
                               - flt)
     return r
 
-blocks = len(timed("prepass", lambda: _streamed(model, spec)))
 out["passed"] = all([timed("check", lambda: check_axioms(model, spec)).passed,
                      timed("identities",
                            lambda: check_identities(model, spec)).passed])
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-out["workers"] = _workers(blocks)
+out["workers"] = _workers(len(_streamed(model, spec)))
 print(json.dumps(out))
 """
 
