@@ -29,14 +29,15 @@ model's ``sample``, from a generator seeded by the sweep's seed and the
 block's place, into column-major slots (the Einstein kernels read their
 (N, d) operands column by column, so each column is one contiguous
 read).  The blocks are independent, so they are drawn and swept on a
-thread pool made for the sweep, one worker per available CPU
-(``_mapped``), and memory is bounded by one block per worker, whatever
-the sample count.  Finite sweeps run one slab of max(``CHUNK`` // n^2, 1)
-whole first indices at a time (``_slabs``).  Each check's verdicts are
-merged so that the report equals that of one pass over all rows.  Within
-a block, each gyration gyr[a, b] is applied once to a stack of its
-arguments, and each sum a + b is formed once.  A finite
-``check_identities`` block is the index grid of its slab.
+thread pool made for the sweep, one worker per available CPU, with a few
+blocks per worker in flight (``_mapped``).  Finite sweeps run one slab of
+max(``CHUNK`` // n^2, 1) whole first indices at a time (``_slabs``), in
+the calling thread.  Either way each block's check list is folded into
+the report as it finishes (``_merged``), so that the report equals that
+of one pass over all rows, and a sweep's memory does not grow with its
+sample count.  Within a block, each gyration gyr[a, b] is applied once
+to a stack of its arguments, and each sum a + b is formed once.  A
+finite ``check_identities`` block is the index grid of its slab.
 ``check_axioms`` on a finite table reads ``table``, ``inverses`` and
 ``G`` directly, in ``G``'s dtype: every check of a slab is one gather of
 shape (slab, n, n), and no index grid is built.
@@ -46,9 +47,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -246,8 +249,8 @@ def read_json(source, error: type[ValueError], **loads_kwargs):
         raise error(f"invalid JSON: {e}") from None
 
 
-def _streamed(model: GyroModel, spec: SampleSpec) -> list:
-    """A continuous sweep's blocks, as functions that each draw one.
+def _drawn(model: GyroModel, spec: SampleSpec):
+    """A continuous sweep's number of blocks, and ``draw(k)``, block k.
 
     Three slots of ``len(stress) + spec.count`` rows, the stress elements
     rotated through their first rows so every stress point meets every
@@ -262,9 +265,11 @@ def _streamed(model: GyroModel, spec: SampleSpec) -> list:
     h = len(stress)
     heads = [np.stack(stress[j:] + stress[:j]) for j in range(3)]
     rows = h + spec.count
-    cuts = [k * ROWS for k in range(max(rows // ROWS, 1))] + [rows]
+    blocks = max(rows // ROWS, 1)
 
-    def block(k, lo, hi):
+    def draw(k):
+        lo = k * ROWS
+        hi = rows if k == blocks - 1 else lo + ROWS
         slots = []
         for j, head in enumerate(heads):
             slot = np.empty((hi - lo,) + head.shape[1:], head.dtype,
@@ -276,18 +281,7 @@ def _streamed(model: GyroModel, spec: SampleSpec) -> list:
             slot[skip:] = model.sample(rng, hi - lo - skip)
             slots.append(slot)
         return tuple(slots)
-    return [functools.partial(block, k, lo, hi)
-            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-
-
-def _blocks(model: GyroModel):
-    """A finite sweep's triples in blocks: the index grids of the cube's
-    ``_slabs``."""
-    n = model.n
-    for lo, hi in _slabs(n):
-        idx = np.indices((hi - lo, n, n)).reshape(3, -1)
-        idx[0] += lo
-        yield tuple(idx)
+    return blocks, draw
 
 
 def _workers(items: int) -> int:
@@ -300,21 +294,31 @@ def _workers(items: int) -> int:
     return max(min(cpus, items), 1)
 
 
-def _mapped(fn, items) -> list:
-    """``[fn(item) for item in items]`` on a thread pool made for this call,
-    so that no idle thread outlives it.  numpy releases the interpreter
-    lock inside its array loops, so independent blocks overlap there.  One
-    worker runs in the calling thread, where a pool would only add a
-    thread start.  The first exception in item order is raised."""
-    items = list(items)
+def _mapped(fn, items: Sequence):
+    """Yield ``fn(item)`` for each of ``items`` in order, from a thread pool
+    made for this call that keeps two tasks per worker in flight, so that
+    memory does not grow with the number of items.  numpy releases the
+    interpreter lock inside its array loops, so independent items overlap
+    there.  One worker runs in the calling thread.  The first exception in
+    item order is raised; the pool is shut down, its waiting tasks
+    cancelled, when the generator ends or is closed."""
     workers = _workers(len(items))
     if workers == 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     # imported on first use: concurrent.futures loads logging, queue and
     # traceback, 0.6 MiB that a process which never pools need not hold
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+    pool, pending = ThreadPoolExecutor(workers), deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -346,31 +350,32 @@ def _pin_allocator() -> None:
 def _swept(model: GyroModel, spec: SampleSpec, checks) -> AxiomReport:
     """Run ``checks(model, x, y, z)`` on every block and merge per check.
     Continuous blocks are drawn and swept on threads, under the pinned
-    allocator thresholds; finite index grids are built and swept one at a
-    time."""
+    allocator thresholds; finite slabs' index grids are built and swept
+    in the calling thread."""
     if model.is_finite:
-        return _merged(model, (checks(model, *idx)
-                               for idx in _blocks(model)))
+        n = model.n
+        return _merged(checks(model, *np.mgrid[lo:hi, :n, :n].reshape(3, -1))
+                       for lo, hi in _slabs(n))
     _pin_allocator()
-    return _merged(model, _mapped(lambda block: checks(model, *block()),
-                                  _streamed(model, spec)))
+    blocks, draw = _drawn(model, spec)
+    return _merged(_mapped(lambda k: checks(model, *draw(k)), range(blocks)))
 
 
-def _merged(model: GyroModel, parts) -> AxiomReport:
-    """One report from the check lists of consecutive blocks.
-
-    A check keeps the witness of the first block with the largest maximum
-    (NaN first), the row one argmax over all rows picks; its verdict is
-    that maximum against ``eps``, and its samples are summed."""
-    parts = list(parts)
-    worst = np.argmax([[r.max_residual for r in p] for p in parts], axis=0)
-    report = AxiomReport()
-    for i, b in enumerate(worst):
-        r = parts[b][i]
-        report.results.append(CheckResult(
-            r.name, bool(r.max_residual <= model.eps),
-            sum(p[i].samples for p in parts), r.max_residual, r.witness))
-    return report
+def _merged(parts) -> AxiomReport:
+    """One report from the check lists of consecutive blocks, folded in as
+    they arrive.  A check keeps the result of the first block with the
+    largest maximum (NaN first), the row one argmax over all rows picks,
+    with its verdict and witness; its samples are summed."""
+    parts = iter(parts)
+    merged = list(next(parts))
+    for part in parts:
+        for i, (m, r) in enumerate(zip(merged, part)):
+            # r is worse when larger, or NaN where m is not
+            a, b = r.max_residual, m.max_residual
+            worse = a > b or math.isnan(a) > math.isnan(b)
+            merged[i] = replace(r if worse else m,
+                                samples=m.samples + r.samples)
+    return AxiomReport(merged)
 
 
 def _sweep(model: GyroModel, name: str, lhs, rhs, elems: Sequence) -> CheckResult:
@@ -424,7 +429,12 @@ def check_axioms(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomRepo
     makes norm balls a gyration-invariant neighborhood base.
     """
     if model.is_finite:
-        return _merged(model, _finite_slabs(model))
+        # built once: the table in G's dtype, its transpose, left division
+        T = model.table.astype(model.G.dtype)
+        Tt = np.ascontiguousarray(T.T)
+        left = _left_division(model)
+        return _merged(_finite_axiom_checks(model, T, Tt, left, lo, hi)
+                       for lo, hi in _slabs(model.n))
     return _swept(model, spec, _axiom_checks)
 
 
@@ -468,18 +478,6 @@ def _slabs(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _finite_slabs(model: GyroModel):
-    """The check lists of ``check_axioms`` on a finite table, one per slab.
-    The table in ``G``'s dtype, its transpose and the left-division table
-    are built once."""
-    T = model.table.astype(model.G.dtype)
-    Tt = np.ascontiguousarray(T.T)
-    left = _left_division(model)
-    for lo, hi in _slabs(model.n):
-        yield (_finite_axiom_checks(model, T, Tt, lo, hi)
-               + _finite_extras(model, lo, hi, left))
-
-
 def _gather(M, a, b):
     """M[a, b] for broadcasting index arrays a and b, as one gather at the
     flat indices a m + b of the m-column M: faster than numpy's indexing
@@ -498,18 +496,25 @@ def _slab_verdict(name: str, bad, lo: int, samples: int,
         "elements": hit[:width], "residual": 1.0})
 
 
-def _finite_axiom_checks(model: GyroModel, T, Tt, lo: int,
+def _finite_axiom_checks(model: GyroModel, T, Tt, left, lo: int,
                          hi: int) -> list[CheckResult]:
-    """The checks of ``_axiom_checks`` on the triples (x, y, z) with
+    """The checks of ``check_axioms`` on the triples (x, y, z) with
     lo <= x < hi of a finite table, as gathers on ``T`` (the table in
-    ``G``'s dtype), its transpose ``Tt``, ``inverses`` and ``G``.  Each
-    check counts the slab's (hi - lo) n^2 triples, and a failure's
-    witness is its first failing triple in row-major order: [x] alone for
-    the checks that involve x only, whose first failing row is (x, 0, 0)."""
+    ``G``'s dtype), its transpose ``Tt``, ``inverses``, ``G`` and the
+    ``_left_division`` table ``left``.  Each check counts the slab's
+    (hi - lo) n^2 triples, and a failure's witness is its first failing
+    triple in row-major order: [x] alone for the checks that involve x
+    only, whose first failing row is (x, 0, 0).  Exact finite-only checks
+    follow: gyration bijectivity, on the slab's (hi - lo) n gyrations, and
+    left division, which solves (x + y) + w = x + (y + z) for w with the
+    first-occurrence inverse of each Cayley row and compares against the
+    gyration; the two agree exactly when gyroassociativity holds with a
+    unique solution."""
     n, G = model.n, model.G
     x = np.arange(lo, hi)
     inv = model.inverses[x]
     Ta, Ga = T[lo:hi], G[lo:hi]
+    TaT = Ta[:, T]  # x + (y + z)
     cube = (hi - lo) * n * n
     rows = np.arange((hi - lo) * n).reshape(hi - lo, n, 1)
     return [
@@ -519,7 +524,7 @@ def _finite_axiom_checks(model: GyroModel, T, Tt, lo: int,
         _slab_verdict("axiom-inverse-right", T[x, inv] != 0, lo, cube),
         # x + (y + z) = (x + y) + gyr[x, y](z)
         _slab_verdict("axiom-gyroassociativity",
-                      Ta[:, T] != _gather(T, Ta[:, :, None], Ga), lo, cube),
+                      TaT != _gather(T, Ta[:, :, None], Ga), lo, cube),
         # gyr[x + y, y](z) = gyr[x, y](z): row (x + y) n + y of G as (n^2, n)
         _slab_verdict("axiom-loop-property",
                       G.reshape(n * n, n)[Ta.astype(np.intp) * n
@@ -528,6 +533,11 @@ def _finite_axiom_checks(model: GyroModel, T, Tt, lo: int,
         _slab_verdict("gyration-additivity",
                       _gather(Ga.reshape(-1, n), rows, Tt[x][:, None, :])
                       != _gather(Tt, G[x, :, x][:, :, None], Ga), lo, cube),
+        _slab_verdict("gyration-bijectivity",
+                      np.sort(Ga, axis=2) != np.arange(n, dtype=G.dtype),
+                      lo, (hi - lo) * n, width=2),
+        _slab_verdict("gyration-left-division",
+                      _gather(left, Ta[:, :, None], TaT) != Ga, lo, cube),
     ]
 
 
@@ -538,27 +548,6 @@ def _left_division(model: GyroModel) -> np.ndarray:
     np.minimum.at(left, (np.arange(n)[:, None], model.table),
                   np.arange(n, dtype=left.dtype))
     return left
-
-
-def _finite_extras(model: GyroModel, lo: int, hi: int,
-                   left) -> list[CheckResult]:
-    """Exact finite-only checks: gyration bijectivity and left-division,
-    on the first indices lo <= a < hi.
-
-    ``gyration-left-division`` solves (a+b) + w = a + (b+z) for w with
-    the first-occurrence inverse of each Cayley row and compares against
-    the gyration formula; the two agree exactly when gyroassociativity
-    holds with a unique solution.  ``left`` is ``_left_division(model)``.
-    """
-    n, G = model.n, model.G
-    # gathers stay in G's small dtype
-    Ta, Ga = model.table[lo:hi].astype(G.dtype), G[lo:hi]
-    return [_slab_verdict("gyration-bijectivity",
-                          np.sort(Ga, axis=2) != np.arange(n, dtype=G.dtype),
-                          lo, (hi - lo) * n, width=2),
-            _slab_verdict("gyration-left-division",
-                          _gather(left, Ta[:, :, None], Ta[:, model.table])
-                          != Ga, lo, (hi - lo) * n * n)]
 
 
 def check_identities(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomReport:

@@ -49,7 +49,8 @@ from typing import IO
 import numpy as np
 
 from .core import (ROWS, AxiomReport, ChainError, CheckResult, GyroModel,
-                   SampleSpec, _mapped, _verdict, first_hit, read_json)
+                   SampleSpec, _mapped, _merged, _verdict, first_hit,
+                   read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
 from .sets import FiniteSet, OriginSet, RadialBall, member_masks, oplus_rows
@@ -717,8 +718,7 @@ def micro_assoc_check(model: GyroModel, W, V,
     probes = V.radius * _directions(model, DIRECTIONS)
     # per pair, the worst defect over all probes; pairs go in batches of
     # about ROWS (pair, direction) rows, broadcast as (pairs, 1) x (directions);
-    # the batches run on threads, each writing its own slice of defect
-    defect = np.empty(spec.count)
+    # the batches run on threads, and their verdicts are merged
     step = ROWS // DIRECTIONS
 
     def batch(lo):
@@ -730,12 +730,12 @@ def micro_assoc_check(model: GyroModel, W, V,
         # reverse probes: (a + b) + z pulled back through a, b
         q = model.op(ab, probes)
         back2 = model.norm(model.op(model.inv(b), model.op(model.inv(a), q)))
-        defect[lo:lo + step] = np.maximum(np.abs(back - V.radius).max(axis=1),
-                                          np.abs(back2 - V.radius).max(axis=1))
-    _mapped(batch, range(0, spec.count, step))
-    # the tolerance is the strict defect < 1e-6: for a float64 defect,
-    # <= the next double below 1e-6 is the same test
-    out = _verdict(model, "micro-associativity", defect, [azs, bzs],
-                   tol=np.nextafter(1e-6, 0))
+        defect = np.maximum(np.abs(back - V.radius).max(axis=1),
+                            np.abs(back2 - V.radius).max(axis=1))
+        # the tolerance is the strict defect < 1e-6: for a float64 defect,
+        # <= the next double below 1e-6 is the same test
+        return [_verdict(model, "micro-associativity", defect,
+                         [a[:, 0], b[:, 0]], tol=np.nextafter(1e-6, 0))]
+    [out] = _merged(_mapped(batch, range(0, max(spec.count, 1), step))).results
     out.samples = spec.count * DIRECTIONS
     return out

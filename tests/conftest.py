@@ -7,14 +7,15 @@ import pytest
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      table_load)
-from gyrokit.core import _streamed
+from gyrokit.core import _drawn
 
 
 def triples(model, spec):
     """The whole draw (X, Y, Z) of a continuous sweep: its blocks, drawn
     one after another, concatenated slot by slot."""
+    blocks, draw = _drawn(model, spec)
     return tuple(np.concatenate(slot)
-                 for slot in zip(*[b() for b in _streamed(model, spec)]))
+                 for slot in zip(*[draw(k) for k in range(blocks)]))
 
 
 def bundled_table_path(name: str):

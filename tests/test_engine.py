@@ -18,9 +18,10 @@ from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
 from gyrokit import core
 from gyrokit.cli import main
 from gyrokit.core import (CHUNK, ROWS, AxiomReport, CarrierError, CheckResult,
-                          SampleSpec, TableError, _axiom_checks, _blocks,
-                          _finite_extras, _identity_checks, _left_division,
-                          _merged, _streamed, _swept, _verdict, first_hit)
+                          SampleSpec, TableError, _axiom_checks, _drawn,
+                          _finite_axiom_checks, _identity_checks,
+                          _left_division, _mapped, _merged, _slabs, _swept,
+                          _verdict, first_hit)
 from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
                              _invariant_restriction, admissible_hull,
                              build_dyadic_family, prenorm_laws_check, shrink)
@@ -317,7 +318,7 @@ def test_blocked_sweeps_match_whole_draw(model):
     # so the witnesses are compared too
     spec = SampleSpec(3 * ROWS + 1234, seed=605021745)
     xyz = triples(model, spec)
-    assert len(_streamed(model, spec)) == 3
+    assert _drawn(model, spec)[0] == 3
     for sweep, checks in ((check_axioms, _axiom_checks),
                           (check_identities, _identity_checks)):
         lines = sweep(model, spec).to_json_lines()
@@ -345,6 +346,7 @@ def planted(values, x):
     {10: 0.5, ROWS + 7: 2.0, 2 * ROWS + 9: 2.0},  # a tie across blocks
     {5: 3.0, ROWS + 1: np.nan, 2 * ROWS: np.nan},  # NaN wins, first one
     {3 * ROWS + 40: 1.0},                         # in the remainder
+    {3: np.nan, ROWS + 2: 5.0},                   # NaN in the first block
 ])
 def test_block_merge_picks_the_first_worst_row(cells):
     model = MobiusModel(eps=0.1)
@@ -393,6 +395,27 @@ def test_late_block_error_surfaces_as_in_a_serial_sweep():
         return []
     with pytest.raises(CarrierError, match=f"^block at row {ROWS}$"):
         _swept(mobius, spec, checks)
+
+
+def test_pooled_map_runs_ahead_by_a_bounded_number_of_items(monkeypatch):
+    # a lazy driver: after the first result only a few items have been
+    # started, and closing the generator leaves no thread behind
+    monkeypatch.setattr(core, "_workers", lambda items: 2)
+    before = threading.active_count()
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return item * item
+    results = _mapped(fn, range(1000))
+    assert next(results) == 0
+    assert 1 <= len(calls) <= 16
+    assert next(results) == 1
+    results.close()
+    assert len(calls) <= 16
+    assert threading.active_count() == before
+    monkeypatch.setattr(core, "_workers", lambda items: 1)
+    assert list(_mapped(fn, range(5))) == [0, 1, 4, 9, 16]
 
 
 def test_sweeps_leave_no_threads_behind():
@@ -499,8 +522,9 @@ def test_einstein_kernels_do_not_depend_on_layout(dim):
     # sweeps draw column-major slots; every kernel must give the bits it
     # gives on C-ordered rows
     model = EinsteinModel(dim=dim)
-    [block] = _streamed(model, SampleSpec(5000, seed=11))
-    draw = block()
+    blocks, block = _drawn(model, SampleSpec(5000, seed=11))
+    assert blocks == 1
+    draw = block(0)
     assert all(t.flags.f_contiguous and not t.flags.c_contiguous
                for t in draw)
     rows = [np.ascontiguousarray(t) for t in draw]
@@ -566,12 +590,12 @@ def test_chunked_draw_matches_whole_slot_draw(model, count):
     spec = SampleSpec(count, seed=605021745)
     want = reference_draw(model, spec)
     rows = STRESS + count
-    blocks = _streamed(model, spec)
-    assert len(blocks) == max(rows // ROWS, 1)
-    drawn = [block() for block in reversed(blocks)][::-1]
+    blocks, draw = _drawn(model, spec)
+    assert blocks == max(rows // ROWS, 1)
+    drawn = [draw(k) for k in reversed(range(blocks))][::-1]
     lo = 0
     for k, xyz in enumerate(drawn):
-        hi = rows if k == len(blocks) - 1 else lo + ROWS
+        hi = rows if k == blocks - 1 else lo + ROWS
         for slot, whole in zip(xyz, want):
             assert slot.flags.f_contiguous
             assert slot.dtype == whole.dtype
@@ -623,11 +647,10 @@ def test_row_swapped_table_blocks_match_whole_cube(g8):
     T = g8.table[a[:, None], a[None, :]] * 8 + (b[:, None] + b[None, :]) % 8
     T[54, [33, 40]] = T[54, [40, 33]]
     model = FiniteTable(T, validate=False)
-    assert len(list(_blocks(model))) == 4
+    assert len(_slabs(n)) == 4
     cube = np.indices((n, n, n)).reshape(3, -1)
     want = AxiomReport(_axiom_checks(model, *cube)
-                       + _finite_extras(model, 0, model.n,
-                                        _left_division(model))).to_json_lines()
+                       + whole_extras(model)).to_json_lines()
     assert check_axioms(model).to_json_lines() == want
     ids = check_identities(model)
     assert ids.to_json_lines() == whole_report(model, _identity_checks, *cube)
@@ -674,8 +697,7 @@ def test_finite_gather_body_matches_whole_cube(g8, k, kind):
     slab = max(CHUNK // (n * n), 1)
     assert slab < n  # more than one slab
     cube = np.indices((n, n, n)).reshape(3, -1)
-    want = _axiom_checks(model, *cube) + _finite_extras(
-        model, 0, model.n, _left_division(model))
+    want = _axiom_checks(model, *cube) + whole_extras(model)
     got = check_axioms(model)
     assert [(r.name, r.witness) for r in got.results] == [
         (r.name, r.witness) for r in want]
@@ -709,11 +731,15 @@ def test_slabbed_finite_extras_match_whole_cube(g8):
     # checks fail first in the third slab
     model = FiniteTable(product_table(g8, 8), validate=False)
     model.G[40, 3, 5] = model.G[40, 3, 6]
-    left = _left_division(model)
-    got = _merged(model, [_finite_extras(model, lo, lo + 16, left)
-                          for lo in range(0, 64, 16)])
+    T = model.table.astype(model.G.dtype)
+    Tt, left = np.ascontiguousarray(T.T), _left_division(model)
+
+    def extras(lo, hi):
+        return _finite_axiom_checks(model, T, Tt, left, lo, hi)[-2:]
+    got = _merged(extras(lo, lo + 16) for lo in range(0, 64, 16))
     want = whole_extras(model)
-    assert got.results == want == _finite_extras(model, 0, model.n, left)
+    assert got.results == want == extras(0, model.n)
+    assert check_axioms(model).results[-2:] == want
     assert [r.witness["elements"] for r in got.results] == [[40, 3],
                                                             [40, 3, 5]]
     assert [r.samples for r in got.results] == [64 ** 2, 64 ** 3]

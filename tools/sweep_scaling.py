@@ -38,7 +38,7 @@ SEED = 0
 CHILD = f"""
 import json, resource, sys, time
 from gyrokit import EinsteinModel, MobiusModel, check_axioms, check_identities
-from gyrokit.core import SampleSpec, _streamed, _workers
+from gyrokit.core import SampleSpec, _drawn, _workers
 
 model = {{"einstein-d3": EinsteinModel(dim=3),
           "mobius": MobiusModel()}}[sys.argv[1]]
@@ -58,7 +58,7 @@ out["passed"] = all([timed("check", lambda: check_axioms(model, spec)).passed,
                      timed("identities",
                            lambda: check_identities(model, spec)).passed])
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-out["workers"] = _workers(len(_streamed(model, spec)))
+out["workers"] = _workers(_drawn(model, spec)[0])
 print(json.dumps(out))
 """
 
