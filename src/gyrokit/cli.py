@@ -294,23 +294,42 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_numbers(args):
-    """Reject numeric flags outside their domain, as input errors."""
+def _check_args(args):
+    """Reject numeric flags outside their domain, and an ``--out`` that
+    names a directory or lies in none, as input errors before any work."""
     if not (math.isfinite(args.eps) and args.eps >= 0):
         raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > np.iinfo(np.intp).max:  # numpy's array-size limit
+        raise InputError(f"--samples must be <= {np.iinfo(np.intp).max}, "
+                         f"got {args.samples}")
     if args.depth < 0:
         raise InputError(f"--depth must be >= 0, got {args.depth}")
+    out = Path(args.out) if args.out else None
+    if out and out.is_dir():
+        raise InputError(f"--out is a directory: {out}")
+    if out and not out.absolute().parent.is_dir():
+        raise InputError(f"no such directory for --out: {out.parent}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_numbers(args)
+        _check_args(args)
         report = args.fn(args)
-    except (InputError, ValueError) as e:
+        report.records.append(_config_record(args))
+        for r in sorted(report.all_records(), key=lambda r: r["check"]):
+            if "verdict" in r:
+                mark = "pass" if r["verdict"] == "pass" else "FAIL"
+                print(f"[{mark}] {r['check']} residual={r['residual']:.3g}")
+            elif "value" in r:
+                print(f"       {r['check']} = {r['value']}")
+        if args.out:
+            Path(args.out).write_text("\n".join(report.to_json_lines()) + "\n")
+    # OSError: unreadable input, unwritable --out; MemoryError: huge counts
+    except (InputError, ValueError, OSError, MemoryError) as e:
         vrep = getattr(e, "report", None)  # set on an invalid --chain
         if vrep is None:
             print(f"error: {e}", file=sys.stderr)
@@ -322,15 +341,6 @@ def main(argv=None) -> int:
                 print(f"containment fails at index {vrep.failing_index}",
                       file=sys.stderr)
         return 2
-    report.records.append(_config_record(args))
-    for r in sorted(report.all_records(), key=lambda r: r["check"]):
-        if "verdict" in r:
-            mark = "pass" if r["verdict"] == "pass" else "FAIL"
-            print(f"[{mark}] {r['check']} residual={r['residual']:.3g}")
-        elif "value" in r:
-            print(f"       {r['check']} = {r['value']}")
-    if args.out:
-        Path(args.out).write_text("\n".join(report.to_json_lines()) + "\n")
     return 0 if report.passed else 1
 
 

@@ -262,6 +262,54 @@ def test_negative_seed_exits_two(command, model, capsys):
                                    "error: expected non-negative integer\n")
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["check", "--model", "table:{dir}"], "Is a directory"),
+    (["metric", "--model", Z4, "--chain", "{dir}"], "Is a directory"),
+    (["check", "--model", Z4, "--out", "{dir}"],
+     "--out is a directory: {dir}"),
+    (["check", "--model", Z4, "--out", "{dir}/missing/r.jsonl"],
+     "no such directory for --out: {dir}/missing"),
+    (["check", "--model", "table:{dir}/missing.json"],
+     "no such table file: {dir}/missing.json"),
+    (["metric", "--model", Z4, "--chain", "{dir}/missing.json"],
+     "no such chain file: {dir}/missing.json"),
+], ids=["table-dir", "chain-dir", "out-dir", "out-missing-dir",
+        "table-missing", "chain-missing"])
+def test_unreadable_path_exits_two(argv, text, tmp_path, capsys):
+    # refused before the sweep, and nothing is written
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert text.format(dir=tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["microassoc", "--model", "einstein", "--vset", "ball:0.5", "--wset",
+     "ball:0.3", "--samples", "1000000000000000"],
+    ["hull", "--model", "einstein", "--subset", "ball:0.8", "--samples",
+     "1000000000000000"],
+], ids=["microassoc", "hull"])
+def test_unallocatable_count_exits_two(argv, capsys):
+    # 10^15 rows exceed any 64-bit address space: the allocation fails at
+    # once, and the MemoryError is reported as an input error
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "identities"])
+def test_sample_count_beyond_array_limit_exits_two(command, capsys):
+    # refused before a block is drawn: unbounded, the lazy sweep would run
+    # for ever
+    assert main([command, "--model", "einstein", "--samples",
+                 "99999999999999999999999"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: --samples must be <= 9223372036854775807, "
+        "got 99999999999999999999999\n"))
+
+
 class TestOtherCommands:
     def test_microassoc_finite(self):
         rc = main(["microassoc", "--model", G8, "--vset", "0,1,4,5",
