@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Stage times and peak memory of finite tables as the order grows.
 
-    python3 tools/load_scaling.py
+    python3 tools/load_scaling.py [K ...]
 
-For each k in ``FACTORS`` builds the direct product g8 x Z_k (order
-n = 8k) and loads it with ``FiniteTable``, which computes the gyration
-tensor and runs the exhaustive axiom sweep.  In the same process it then
+For each k (``FACTORS`` unless factors are given) builds the direct
+product g8 x Z_k (order n = 8k) and loads it with ``FiniteTable``, which
+computes the gyration tensor and runs the exhaustive axiom sweep.  In the same process it then
 times the gyration-orbit partition ``gyr_orbits``, ``admissible_hull`` of
 the whole carrier to depth ``DEPTH``, and ``build_dyadic_family`` to that
 depth (which validates the chain) and ``prenorm_laws_check`` on the fixed
@@ -17,7 +17,7 @@ with the g8 subgroups S4 and S2 of ``tests/golden/chains/g8-adm.json``.
 Each order runs in a fresh Python process, so that its peak resident
 memory (``getrusage``'s ``ru_maxrss``) is its own; the process's imports
 and the product table count towards it.  Prints the seconds of each
-stage and the peak MiB per order.
+stage, the peak MiB per order, and whether the prenorm laws passed.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -36,7 +36,7 @@ DEPTH = 10
 S4, S2 = [0, 1, 4, 5], [0, 1]  # the g8 sets of tests/golden/chains/g8-adm.json
 
 # run in a fresh process with argv[1] = k; prints {"n", "load_s",
-# "orbits_s", "hull_s", "family_s", "laws_s", "peak_mib"}
+# "orbits_s", "hull_s", "family_s", "laws_s", "peak_mib", "passed"}
 CHILD = f"""
 import json, resource, sys, time
 import numpy as np
@@ -71,7 +71,8 @@ chain = chain_load(model, {{"flavor": "admissible", "sets": [
     lift({S2}, [0]), [0]]}})
 family = timed("family", lambda: build_dyadic_family(model, chain,
                                                      depth={DEPTH}))
-timed("laws", lambda: prenorm_laws_check(model, family))
+laws = timed("laws", lambda: prenorm_laws_check(model, family))
+out["passed"] = family.report.passed and all(r.passed for r in laws)
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
@@ -85,17 +86,18 @@ def load(k: int) -> dict:
     return json.loads(out.stdout)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    factors = [int(a) for a in argv] or FACTORS
     cols = ["load", "orbits", "hull", "family", "laws"]
     print(f"{'table':<10}{'n':>6}" + "".join(f"{c + ' s':>10}" for c in cols)
-          + f"{'peak MiB':>11}")
-    for k in FACTORS:
+          + f"{'peak MiB':>11}{'passed':>8}")
+    for k in factors:
         r = load(k)
         print(f"{'g8xz' + str(k):<10}{r['n']:>6}"
               + "".join(f"{r[c + '_s']:>10.2f}" for c in cols)
-              + f"{r['peak_mib']:>11.0f}")
+              + f"{r['peak_mib']:>11.0f}{str(r['passed']):>8}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
