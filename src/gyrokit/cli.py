@@ -304,8 +304,9 @@ def _check_args(args):
     if args.samples > np.iinfo(np.intp).max:  # numpy's array-size limit
         raise InputError(f"--samples must be <= {np.iinfo(np.intp).max}, "
                          f"got {args.samples}")
-    if args.depth < 0:
-        raise InputError(f"--depth must be >= 0, got {args.depth}")
+    if not 0 <= args.depth <= 62:  # 2^depth and its numerators fit int64
+        bound = ">= 0" if args.depth < 0 else "in 0..62"
+        raise InputError(f"--depth must be {bound}, got {args.depth}")
     out = Path(args.out) if args.out else None
     if out and out.is_dir():
         raise InputError(f"--out is a directory: {out}")

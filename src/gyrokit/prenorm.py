@@ -8,8 +8,8 @@ admissible flavor strengthens this to U_{n+1} (+) (U_{n+1} (+) U_{n+1})
     V(1) = U_0,   V(1/2^n) = U_n,   V(2m/2^n) = V(m/2^(n-1)),
     V((2m+1)/2^n) = U_n (+) V(m/2^(n-1)),   V(m/2^n) = G for m > 2^n.
 
-``DyadicFamily`` holds V(m/2^depth) as the rows of one array, built one
-level at a time.  The prenorm is the Birkhoff-Kakutani infimum
+``DyadicFamily`` holds V(m/2^levels) as the rows of one array, built
+one level at a time.  The prenorm is the Birkhoff-Kakutani infimum
 N(x) = inf{r : x in V(r)}, capped at 1 for points in no proper V.  It
 yields
 
@@ -21,16 +21,16 @@ yields
                                  admissible chain)
 
 Finite chains are eventually constant: the last listed set repeats
-forever and is the tail H.  Evaluation then closes the family under the
-tail -- a membership x in H (+) V(r) certifies N(x) <= r, because a
-level-d bit of the index with d past stabilization contributes exactly
-an H factor, and iterated H factors collapse through gyration
-invariance.  This makes the computed N the exact infimum of the
-infinite construction, provided the build depth reaches the chain's
-stabilization index.  N, rho_N and varrho are then exact numerators over
-2^depth, and the balls and the quotient matrix are reads of the n x n
-rho_N matrix.  Radial chains (norm balls) collapse the construction to
-exact one-dimensional arithmetic on radii.
+forever and is the tail H.  Past the first chain index s from which
+every listed set is H, each index bit adds an H factor, and H (+) (H (+)
+V) = H (+) V by gyration invariance and the tail's closure (both
+validated).  So level s + 1 holds every distinct set of the family at
+any depth, and a finite family stops at levels = min(depth, s + 1).
+Closed under the tail -- x in H (+) V(r) certifies N(x) <= r -- N is then
+the exact infimum of the infinite construction, once depth > s.  N,
+rho_N and varrho are exact numerators over 2^levels; the balls and the
+quotient matrix are reads of the n x n rho_N matrix.  Radial chains
+(norm balls) collapse to one-dimensional arithmetic on 2^depth radii.
 
 The prenorm laws (zero, symmetry, subadditivity, gyration invariance)
 hold for the infimum only when the chain sets interact well with the
@@ -39,11 +39,9 @@ tail; ``prenorm_laws_check`` verifies them per chain.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import IO
 
 import numpy as np
@@ -231,14 +229,14 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
 
 
 class DyadicFamily:
-    """The dyadic family of a chain, as ``rows[m - 1]`` = V(m/2^depth) for
-    m = 1 ... 2^depth: boolean membership rows (finite chains) or ball
-    radii (radial chains).  Level k of the recursion holds V(m/2^k); its
-    even rows are level k - 1 and its odd rows U_k (+) [V(0) = {0}; level
-    k - 1].
+    """The dyadic family of a chain, as ``rows[m - 1]`` = V(m/2^levels) for
+    m = 1 ... 2^levels: boolean membership rows (finite chains) or ball
+    radii (radial chains, with levels = depth).  Level k of the recursion
+    holds V(m/2^k); its even rows are level k - 1 and its odd rows U_k (+)
+    [V(0) = {0}; level k - 1].
 
-    Finite families keep ``_num`` = 2^depth N and ``_rho`` = 2^depth rho_N
-    (n x n), in the least unsigned dtype that holds a sum of two
+    Finite families keep ``_num`` = 2^levels N and ``_rho`` = 2^levels
+    rho_N (n x n), in the least unsigned dtype that holds a sum of two
     numerators: cast them before subtracting or scaling.
     """
 
@@ -246,17 +244,21 @@ class DyadicFamily:
                  report: AxiomReport | None = None):
         self.model, self.chain, self.depth = model, chain, depth
         self.report = report  # the chain's validation report
-        self.scale = scale = 2 ** depth
         finite = chain.kind == "finite"
+        self.tail = chain.tail
+        s = len(chain) - 1
+        while finite and s and chain.sets[s - 1] == self.tail:
+            s -= 1
+        self.levels = levels = min(depth, s + 1) if finite else depth
+        self.scale = scale = 2 ** levels
         U = chain.set_at(0)
         rows = np.array([U.members() if finite else U.radius])
         below = np.zeros_like(rows)  # V(0) = {0}: the row of 0, or radius 0
         below[..., 0] = finite
-        for k in range(1, depth + 1):
+        for k in range(1, levels + 1):
             odd = self._oplus(chain.set_at(k), np.concatenate([below, rows[:-1]]))
             rows = np.stack([odd, rows], axis=1).reshape((-1,) + rows.shape[1:])
         self.rows = rows
-        self.tail = chain.tail
         if finite:
             # N(x) is the first value whose tail (+) V(r) holds x, 1 past all
             hits = self._oplus(self.tail, rows)
@@ -270,7 +272,6 @@ class DyadicFamily:
             # so that ball is where the radii's running maximum first
             # exceeds |x|, whatever the radii's order; past it N is 1
             self._cover = np.maximum.accumulate(rows)
-            self._values = np.append(np.arange(1, scale + 1) / scale, 1.0)
 
     def _oplus(self, U, rows: np.ndarray) -> np.ndarray:
         """U (+) V for every row V: ``oplus_rows`` on finite rows, radial
@@ -278,14 +279,6 @@ class DyadicFamily:
         if self.chain.kind != "finite":
             return radial_add(U.radius, rows, self.model.c)
         return oplus_rows(self.model, U, rows)
-
-    @functools.cached_property
-    def entries(self) -> MappingProxyType:
-        """V(r) by reduced dyadic r in (0, 1], read-only, built on first use."""
-        sets = (map(FiniteSet.of, self.rows) if self.chain.kind == "finite"
-                else map(RadialBall, self.rows.tolist()))
-        return MappingProxyType({Fraction(m, self.scale): S
-                                 for m, S in enumerate(sets, 1)})
 
     def value_grid(self) -> list[Fraction]:
         """Exact N per element (finite models)."""
@@ -302,25 +295,28 @@ class DyadicFamily:
     def prenorm_batch(self, xs):
         """Vectorized N over a batch (radial chains)."""
         r = np.atleast_1d(np.asarray(self.model.norm(xs), dtype=float))
-        out = self._values[np.searchsorted(self._cover, r, side="right")]
-        out = np.where(r == 0.0, 0.0, out)
+        i = np.searchsorted(self._cover, r, side="right")
+        out = np.where(r == 0.0, 0, np.minimum(i + 1, self.scale)) / self.scale
         return float(out[0]) if np.asarray(xs).ndim <= 1 and out.size == 1 else out
 
     def monotone_check(self) -> CheckResult:
-        """r <= s implies V(r) <= V(s), a derived property of the family."""
-        rows = self.rows
+        """r <= s implies V(r) <= V(s) over the 2^depth rows at ``depth``.
+        Past chain index s', the rows between V(q/2^s') and V((q+1)/2^s')
+        are H (+) V(q/2^s'): with 0 in H only the last of them can fail, so a
+        failing pair i of the ``levels`` rows ends at s = (i + 2)/2^levels."""
+        rows, samples = self.rows, 2 ** self.depth
         if self.chain.kind == "finite":
             hit = first_hit(rows[:-1] & ~rows[1:])
             if hit:
                 i = hit[0]
-                hit = {"r": str(Fraction(i + 1, self.scale)),
-                       "s": str(Fraction(i + 2, self.scale)),
+                s = Fraction(i + 2, self.scale)
+                hit = {"r": str(s - Fraction(1, samples)), "s": str(s),
                        "escaped": np.flatnonzero(rows[i] & ~rows[i + 1]).tolist()}
-            return CheckResult.exact("family-monotone", len(rows), hit)
+            return CheckResult.exact("family-monotone", samples, hit)
         diffs = np.diff(rows)
         ok = bool(np.all(diffs >= 0))
         worst = float(-diffs.min()) if diffs.size else 0.0
-        return CheckResult("family-monotone", ok, len(rows), max(0.0, worst),
+        return CheckResult("family-monotone", ok, samples, max(0.0, worst),
                            None if ok else {"radii": rows.tolist()})
 
 
@@ -365,7 +361,7 @@ def ball(family: DyadicFamily, x, eps) -> FiniteSet:
     """{x' : d(x', x) < eps} in a finite model."""
     if family.chain.kind != "finite":
         raise ChainError("explicit balls exist for finite models only")
-    # numerators against eps 2^depth: exact for a float eps too, as a
+    # numerators against eps 2^levels: exact for a float eps too, as a
     # power of two scales it without rounding
     num = family._num.astype(np.int64)
     return FiniteSet.of(np.abs(num - num[int(x)]) < eps * family.scale)
@@ -427,7 +423,7 @@ def quotient_metric(model: GyroModel, family: DyadicFamily,
 
 
 def _quotient_nums(family: DyadicFamily, partition: CosetPartition):
-    """2^depth varrho between cosets, from one gather of ``_rho``."""
+    """2^levels varrho between cosets, from one gather of ``_rho``."""
     if family.chain.flavor != "admissible":
         raise ValueError("quotient metrics require an admissible chain")
     if partition.H != family.tail:
@@ -457,7 +453,7 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
     """
     out = [family.monotone_check()]
     if model.is_finite:
-        # exact comparisons on the numerators 2^depth N(x)
+        # exact comparisons on the numerators 2^levels N(x)
         n, T, num, N = model.n, model.table, family._num, family.prenorm
         ok = bool(num[0] == 0)
         out.append(CheckResult("prenorm-zero", ok, 1, 0.0 if ok else 1.0))
@@ -475,7 +471,9 @@ def prenorm_laws_check(model: GyroModel, family: DyadicFamily,
                                      hit and {"elements": hit}))
         k = np.arange(family.depth + 1)
         U = np.array([family.chain.set_at(i).members() for i in k])
-        lo = (family.scale >> k)[:, None]  # the numerators of 1/2^k
+        # the numerators of 1/2^k: 0 past ``levels``, where U_k is the tail
+        # and its members' numerators are 0, so no level there can hit
+        lo = (family.scale >> k)[:, None]
         low = (num < lo) & ~U
         hit = first_hit(low | (U & (num > 2 * lo)))
         if hit:

@@ -1,13 +1,15 @@
 import functools
 import importlib.resources
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
-                     table_load)
-from gyrokit.core import _drawn
+                     RadialBall, radial_add, table_load)
+from gyrokit.core import CheckResult, _drawn, first_hit
+from gyrokit.sets import oplus_rows
 
 
 def triples(model, spec):
@@ -102,3 +104,71 @@ def brute_l_subgyrogroups(model):
                for a in range(model.n) for h in s):
             out.append(sub)
     return out
+
+
+class FullDyadicFamily:
+    """The dyadic family built to all 2^depth rows, one level at a time,
+    past the chain's stabilization level: the reference that
+    ``DyadicFamily``, which stops there, is tested against.
+
+    ``rows[m - 1]`` = V(m/2^depth) for m = 1 ... 2^depth, membership rows
+    or radii; ``entries`` maps each reduced r = m/2^depth to V(r) as a
+    ``FiniteSet`` or ``RadialBall``.  Finite families keep ``_num`` =
+    2^depth N and ``_rho`` = 2^depth rho_N, so that ``prenorm_laws_check``
+    runs on this family too.
+    """
+
+    def __init__(self, model, chain, depth):
+        self.model, self.chain, self.depth = model, chain, depth
+        self.scale = scale = 2 ** depth
+        finite = chain.kind == "finite"
+        U = chain.set_at(0)
+        rows = np.array([U.members() if finite else U.radius])
+        below = np.zeros_like(rows)  # V(0) = {0}: the row of 0, or radius 0
+        below[..., 0] = finite
+        for k in range(1, depth + 1):
+            odd = self._oplus(chain.set_at(k), np.concatenate([below, rows[:-1]]))
+            rows = np.stack([odd, rows], axis=1).reshape((-1,) + rows.shape[1:])
+        self.rows = rows
+        self.tail = chain.tail
+        if finite:
+            # N(x) is the first value whose tail (+) V(r) holds x, 1 past all
+            hits = self._oplus(self.tail, rows)
+            num = np.where(hits.any(axis=0), hits.argmax(axis=0) + 1, scale)
+            self._num = np.where(self.tail.members(), 0, num).astype(
+                np.min_scalar_type(2 * scale))
+            wide = self._num[model.table[model.inverses]]  # num[-x + y]
+            self._rho = wide + wide.T
+
+    def _oplus(self, U, rows):
+        if self.chain.kind != "finite":
+            return radial_add(U.radius, rows, self.model.c)
+        return oplus_rows(self.model, U, rows)
+
+    @functools.cached_property
+    def entries(self):
+        sets = (map(FiniteSet.of, self.rows) if self.chain.kind == "finite"
+                else map(RadialBall, self.rows.tolist()))
+        return {Fraction(m, self.scale): S for m, S in enumerate(sets, 1)}
+
+    def value_grid(self):
+        return [Fraction(int(m), self.scale) for m in self._num]
+
+    def prenorm(self, x):
+        return Fraction(int(self._num[int(x)]), self.scale)
+
+    def monotone_check(self):
+        rows = self.rows
+        if self.chain.kind == "finite":
+            hit = first_hit(rows[:-1] & ~rows[1:])
+            if hit:
+                i = hit[0]
+                hit = {"r": str(Fraction(i + 1, self.scale)),
+                       "s": str(Fraction(i + 2, self.scale)),
+                       "escaped": np.flatnonzero(rows[i] & ~rows[i + 1]).tolist()}
+            return CheckResult.exact("family-monotone", len(rows), hit)
+        diffs = np.diff(rows)
+        ok = bool(np.all(diffs >= 0))
+        worst = float(-diffs.min()) if diffs.size else 0.0
+        return CheckResult("family-monotone", ok, len(rows), max(0.0, worst),
+                           None if ok else {"radii": rows.tolist()})

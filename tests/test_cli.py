@@ -242,6 +242,8 @@ BAD_NUMBERS = [
       "--depth", "-1"], "--depth"),
     (["check", "--model", "einstein", "--c", "inf"], "c must be"),
     (["check", "--model", "einstein", "--dim", "4"], "dim must be"),
+    (["metric", "--model", Z4, "--depth", "63"], "--depth"),
+    (["hull", "--model", Z4, "--subset", "0", "--depth", "63"], "--depth"),
 ]
 
 

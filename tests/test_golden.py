@@ -71,6 +71,8 @@ CASES = {
     "metric-g8-hull-depth10": ["metric", *table("g8"), *chain("g8-hull"),
                                "--pairs", "3:6,1:2", "--subset", "0",
                                "--quotient", "--depth", "10"],
+    "metric-g8-hull-depth62": ["metric", *table("g8"), *chain("g8-hull"),
+                               "--subset", "0", "--quotient", "--depth", "62"],
     "metric-g8-asymmetric": ["metric", *table("g8"), *chain("g8-asym")],
     "metric-g8-containment": ["metric", *table("g8"), *chain("g8-containment")],
     "hull-z4": ["hull", *table("z4"), "--subset", "0,1,2,3", "--depth", "4"],
@@ -79,6 +81,8 @@ CASES = {
                 "--depth", "6"],
     "hull-g8-order4": ["hull", *table("g8"), "--subset", "0,1,4,5",
                        "--depth", "3"],
+    "hull-g8-depth63": ["hull", *table("g8"), "--subset", "0,1,2,3,4,5,6,7",
+                        "--depth", "63"],
     "intersect-z4": ["intersect", *table("z4"), *chain("z4-adm"),
                      *chain("z4-adm")],
     "intersect-klein4": ["intersect", *table("klein4"), *chain("klein4-adm")],

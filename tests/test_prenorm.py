@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from gyrokit import (ChainError, DyadicChain, FiniteSet, OriginSet, RadialBall,
                      validate_chain)
 from gyrokit.prenorm import DyadicFamily, rho_ball
 
+from conftest import FullDyadicFamily, load_bundled
+
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------- oracles
@@ -36,6 +40,18 @@ def brute_family(model, chain_sets, depth):
         for m in range(1, 2 ** (n - 1)):
             fam[F(2 * m + 1, 2 ** n)] = oplus(u(n), fam[F(m, 2 ** (n - 1))])
     return fam
+
+
+def family_entries(fam):
+    """V(r) by reduced dyadic r in (0, 1] at the family's depth, read off
+    the full 2^depth build after checking the family against it: its rows
+    are the build's level-``levels`` rows and hold every distinct set."""
+    full = FullDyadicFamily(fam.model, fam.chain, fam.depth)
+    stride = 2 ** (fam.depth - fam.levels)
+    np.testing.assert_array_equal(fam.rows, full.rows[stride - 1::stride])
+    np.testing.assert_array_equal(np.unique(fam.rows, axis=0),
+                                  np.unique(full.rows, axis=0))
+    return full.entries
 
 
 def brute_prenorm(model, chain_sets, depth):
@@ -146,21 +162,23 @@ class TestValidateChain:
 
 class TestFamilyConstruction:
     def test_z4_depth3_entries(self, z4):
-        fam = build_dyadic_family(z4, z4_weak_chain(), depth=3)
-        assert fam.entries[F(1)].indices() == (0, 1, 2, 3)
-        assert fam.entries[F(1, 2)].indices() == (0, 2)
-        assert fam.entries[F(1, 4)].indices() == (0,)
-        assert fam.entries[F(3, 4)].indices() == (0, 2)
+        entries = family_entries(build_dyadic_family(z4, z4_weak_chain(),
+                                                     depth=3))
+        assert entries[F(1)].indices() == (0, 1, 2, 3)
+        assert entries[F(1, 2)].indices() == (0, 2)
+        assert entries[F(1, 4)].indices() == (0,)
+        assert entries[F(3, 4)].indices() == (0, 2)
 
     def test_matches_brute_enumeration(self, z4, g8):
         cases = [(z4, z4_weak_chain()), (z4, z4_adm_chain()),
                  (g8, g8_chain([0, 1, 4, 5]))]
         for model, chain in cases:
-            fam = build_dyadic_family(model, chain, depth=4)
+            entries = family_entries(build_dyadic_family(model, chain,
+                                                         depth=4))
             oracle = brute_family(model,
                                   [s.indices() for s in chain.sets], 4)
-            assert set(fam.entries) == set(oracle)
-            for r, S in fam.entries.items():
+            assert set(entries) == set(oracle)
+            for r, S in entries.items():
                 assert set(S.indices()) == oracle[r], f"V({r}) differs"
 
     def test_rows_match_brute_on_g8xz2_hull(self, g8xz2):
@@ -169,10 +187,11 @@ class TestFamilyConstruction:
         sets = [s.indices() for s in chain.sets]
         for depth in range(1, 9):
             fam = build_dyadic_family(g8xz2, chain, depth=depth)
-            assert fam.rows.shape == (2 ** depth, 16)
+            assert fam.rows.shape == (2 ** fam.levels, 16)
+            entries = family_entries(fam)
             oracle = brute_family(g8xz2, sets, depth)
-            assert set(fam.entries) == set(oracle)
-            for r, S in fam.entries.items():
+            assert set(entries) == set(oracle)
+            for r, S in entries.items():
                 assert set(S.indices()) == oracle[r], f"V({r}) differs"
             if depth in (1, 4, 8):
                 assert fam.value_grid() == brute_prenorm(g8xz2, sets, depth)
@@ -184,12 +203,8 @@ class TestFamilyConstruction:
         chain = DyadicChain([FiniteSet(8, indices=t) for t in sets])
         fam = DyadicFamily(g8, chain, 3)
         oracle = brute_family(g8, sets, 3)
-        assert {r: set(S.indices()) for r, S in fam.entries.items()} == oracle
-
-    def test_entries_are_read_only(self, z4):
-        fam = build_dyadic_family(z4, z4_weak_chain(), depth=2)
-        with pytest.raises(TypeError):
-            fam.entries[F(1, 4)] = fam.entries[F(1)]
+        assert {r: set(S.indices())
+                for r, S in family_entries(fam).items()} == oracle
 
     @pytest.mark.parametrize("sets, depth, witness", [
         ([[0, 2], [0, 1, 2, 3], [0]], 1,
@@ -210,17 +225,20 @@ class TestFamilyConstruction:
         assert (r.passed, r.samples, r.max_residual, r.witness) == (
             witness is None, 2 ** depth, 0.0 if witness is None else 1.0,
             witness)
+        assert r == FullDyadicFamily(z4, chain, depth).monotone_check()
 
     def test_even_indices_reduce(self, z4):
-        fam = build_dyadic_family(z4, z4_weak_chain(), depth=4)
+        entries = family_entries(build_dyadic_family(z4, z4_weak_chain(),
+                                                     depth=4))
         # V(2m/2^n) = V(m/2^(n-1)): reduced keys make them one entry
-        assert F(2, 4) not in fam.entries or F(2, 4) == F(1, 2)
-        assert fam.entries[F(2, 4)] is fam.entries[F(1, 2)]
+        assert F(2, 4) not in entries or F(2, 4) == F(1, 2)
+        assert entries[F(2, 4)] is entries[F(1, 2)]
 
     def test_radial_v34(self, einstein):
         fam = build_dyadic_family(einstein, halving_radial_chain(), depth=3)
         # V(3/4) = U_2 (+) V(1/2): 0.25 (+) 0.5 = 0.75/1.125
-        assert fam.entries[F(3, 4)].radius == pytest.approx(2 / 3, abs=1e-15)
+        assert family_entries(fam)[F(3, 4)].radius == pytest.approx(
+            2 / 3, abs=1e-15)
 
     def test_radial_depth_cap(self, einstein):
         with pytest.raises(ChainError, match="depth"):
@@ -232,6 +250,50 @@ class TestFamilyConstruction:
                              FiniteSet(4, indices=[0, 1])], "weak")
         with pytest.raises(ChainError, match="invalid chain"):
             build_dyadic_family(z4, chain, depth=3)
+
+
+# the chains under tests/golden/chains that validate on their table
+VALID_CHAINS = ["g8-adm", "g8-hull", "g8-tail01", "klein4-adm", "z4-adm",
+                "z4-weak"]
+
+
+def golden_chain(name):
+    model = load_bundled(name.split("-")[0])
+    path = GOLDEN / "chains" / f"{name}.json"
+    return model, chain_load(model, path.read_text())
+
+
+class TestStabilizedFamily:
+    """A finite family stops at levels = min(depth, s + 1), s the first
+    chain index from which every set is the tail; what it reports equals
+    the full 2^depth build's."""
+
+    def test_valid_chains_are_listed(self):
+        names = sorted(p.stem for p in (GOLDEN / "chains").glob("*.json"))
+        assert [n for n in names
+                if validate_chain(*golden_chain(n)).passed] == VALID_CHAINS
+
+    @pytest.mark.parametrize("name", VALID_CHAINS)
+    def test_matches_full_build(self, name):
+        model, chain = golden_chain(name)
+        for depth in range(1, 17):
+            fam = build_dyadic_family(model, chain, depth)
+            full = FullDyadicFamily(model, chain, depth)
+            assert fam.value_grid() == full.value_grid()
+            np.testing.assert_array_equal(
+                fam._rho.astype(np.int64) << (depth - fam.levels), full._rho)
+            assert fam.monotone_check() == full.monotone_check()
+            assert (prenorm_laws_check(model, fam)
+                    == prenorm_laws_check(model, full))
+
+    def test_depth_62_builds_the_stabilization_level(self):
+        # g8-hull lists [.., {0}, {0}]: s = 5, so 2^6 rows at any depth >= 6
+        model, chain = golden_chain("g8-hull")
+        fam = build_dyadic_family(model, chain, 62)
+        assert (fam.levels, fam.scale, fam.rows.shape) == (6, 64, (64, 8))
+        assert fam.monotone_check().samples == 2 ** 62
+        assert fam.value_grid() == build_dyadic_family(
+            model, chain, 6).value_grid()
 
 
 class TestPrenorm:
@@ -650,7 +712,7 @@ class TestRadialObjectAgreement:
         radii = [s.radius for s in chain.sets]
         fam = build_dyadic_family(einstein, chain, depth=8)
         u = [math.atanh(r) for r in radii]
-        for frac, ball_set in fam.entries.items():
+        for frac, ball_set in family_entries(fam).items():
             # binary expansion of frac = sum of 2^-bit over set bits
             total = 0.0
             num, den = frac.numerator, frac.denominator
@@ -697,15 +759,16 @@ class TestRadialObjectAgreement:
         chain = DyadicChain([RadialBall(r) for r in (0.3, 0.8, 0.5)])
         fam = DyadicFamily(einstein, chain, 2)
         assert not fam.monotone_check().passed
+        entries = family_entries(fam)
 
         def brute_radial_N(nrm):
             if nrm == 0.0:
                 return 0.0
-            return min([float(r) for r, s in fam.entries.items()
+            return min([float(r) for r, s in entries.items()
                         if nrm < s.radius], default=1.0)
 
         pts = einstein.sample(np.random.default_rng(5), 20_000)
-        edges = [s.radius for s in fam.entries.values()] + [0.0, 0.95]
+        edges = [s.radius for s in entries.values()] + [0.0, 0.95]
         pts = np.concatenate([pts, [[r, 0.0, 0.0] for r in edges]])
         want = [brute_radial_N(float(einstein.norm(p))) for p in pts]
         assert fam.prenorm_batch(pts).tolist() == want

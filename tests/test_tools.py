@@ -35,3 +35,13 @@ def test_boundary_residuals_pass_away_from_the_boundary():
     worst = [line for line in lines if line.startswith("worst")]
     assert len(worst) == 1
     assert not worst[0].split()[1].endswith("*")
+
+
+def test_report_diff_finds_no_difference_against_itself():
+    # both roots are this checkout: every call of the fixed list runs
+    # twice and must give the same exit code, stdout, stderr and --out
+    root = str(TOOLS.parent)
+    *diffs, total = run("report_diff.py", root, root)
+    assert diffs == []
+    count, of, calls, *_ = total.split()
+    assert (count, of) == ("0", "of") and int(calls) >= 685 + 192

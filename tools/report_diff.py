@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Byte-identity of gyrokit CLI runs between two checkouts.
+
+    python3 tools/report_diff.py OLD_ROOT NEW_ROOT
+
+Runs one fixed list of CLI calls against each tree: all calls of a tree
+in one fresh Python process that imports gyrokit from ``ROOT/src`` and
+runs from ``ROOT``, so that relative model and chain paths read the same
+in both.  The two processes run side by side.  Prints each call whose
+exit code, stdout, stderr or ``--out`` bytes differ, then the number of
+differences; exits 1 when there is any, and 2 when a tree has no
+``src/gyrokit`` or its process fails.
+
+The calls are:
+
+- every case of ``tests/golden`` (``tests/test_golden.py`` of this
+  checkout);
+- ``metric`` on every chain under ``tests/golden/chains`` at depths 0-16
+  and 20: bare, with ``--pairs``, and with ``--quotient`` over subsets of
+  its table;
+- ``hull`` of the whole carrier of each bundled table, and of two balls in
+  each ball model, at depths 0, 1, 4, 10 and 62;
+- ``metric`` on Einstein d=3, Einstein d=2 at c = 1.5 and Moebius, on the
+  third-radius hull chains of those balls, at depths 0-15 and seeds 0
+  and 7.
+
+Calls with ``--depth`` above 62 are refused by the CLI and left out, and
+so are ``metric`` calls above depth 20: a tree that builds all 2^depth
+rows of a finite family could not run them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+FINITE_DEPTHS = [*range(17), 20]
+HULL_DEPTHS = [0, 1, 4, 10, 62]
+RADIAL_DEPTHS = range(16)
+SEEDS = [0, 7]
+SUBSETS = {"z4": ["0", "0,2"], "klein4": ["0", "0,1"],
+           "g8": ["0", "0,1", "0,1,4,5"]}
+PAIRS = {"z4": "0:1,1:3", "klein4": "1:2,2:3", "g8": "0:1,2:3,4:7,3:6"}
+BALL_MODELS = {  # name: (model flags, c)
+    "einstein-d3": (["--model", "einstein"], 1.0),
+    "einstein-d2": (["--model", "einstein", "--dim", "2", "--c", "1.5"], 1.5),
+    "mobius": (["--model", "mobius"], 1.0),
+}
+BALLS = [0.8, 0.5]  # ball radii as fractions of c
+
+# run from a tree's root with its src/ on the path; reads the calls from
+# the JSON list of argvs at argv[1], prints [exit, stdout, stderr, --out
+# text] per call as one JSON list
+CHILD = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+from gyrokit.cli import main
+
+results = []
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "r.jsonl"
+    for argv in json.loads(Path(sys.argv[1]).read_text()):
+        so, se = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except (Exception, SystemExit) as e:  # a traceback differs too
+                code = f"raised {type(e).__name__}: {e}"
+        results.append([code, so.getvalue(), se.getvalue(),
+                        out.read_text() if out.exists() else None])
+        out.unlink(missing_ok=True)
+json.dump(results, sys.stdout)
+"""
+FIELDS = ("exit", "stdout", "stderr", "--out")
+
+
+def depth_of(argv: list[str]) -> int:
+    return int(argv[argv.index("--depth") + 1]) if "--depth" in argv else 10
+
+
+def radial_chain(tmp: Path, name: str, c: float, ball: float) -> str:
+    """A third-radius hull chain of 16 radii from ``ball`` c, written to
+    ``tmp``: r_{n+1} = c tanh(artanh(r_n / c) / 3)."""
+    radii = [ball * c]
+    while len(radii) < 16:
+        radii.append(c * math.tanh(math.atanh(radii[-1] / c) / 3.0))
+    path = tmp / f"{name}-{ball}.json"
+    path.write_text(json.dumps({"flavor": "admissible", "radii": radii}))
+    return str(path)
+
+
+def call_list(tmp: Path) -> list[list[str]]:
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
+    from test_golden import CASES
+
+    calls = list(CASES.values())
+    for path in sorted((HERE / "tests" / "golden" / "chains").glob("*.json")):
+        table = path.stem.split("-")[0]
+        base = ["metric", "--model", f"table:src/gyrokit/tables/{table}.json",
+                "--chain", f"tests/golden/chains/{path.name}"]
+        for depth in FINITE_DEPTHS:
+            at = base + ["--depth", str(depth)]
+            calls += [at, at + ["--pairs", PAIRS[table]]]
+            calls += [at + ["--subset", s, "--quotient"] for s in SUBSETS[table]]
+    for table in SUBSETS:
+        model = ["--model", f"table:src/gyrokit/tables/{table}.json"]
+        n = 8 if table == "g8" else 4
+        calls += [["hull", *model, "--subset", ",".join(map(str, range(n))),
+                   "--depth", str(d)] for d in HULL_DEPTHS]
+    for name, (model, c) in BALL_MODELS.items():
+        for ball in BALLS:
+            calls += [["hull", *model, "--subset", f"ball:{ball * c}",
+                       "--depth", str(d)] for d in HULL_DEPTHS]
+            chain = radial_chain(tmp, name, c, ball)
+            calls += [["metric", *model, "--chain", chain, "--depth", str(d),
+                       "--seed", str(seed)]
+                      for d in RADIAL_DEPTHS for seed in SEEDS]
+    return [argv for argv in calls if depth_of(argv) <= 62
+            and (argv[0] != "metric" or depth_of(argv) <= 20)]
+
+
+def start_tree(root: Path, calls: Path) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.Popen([sys.executable, "-c", CHILD, str(calls)],
+                            cwd=root, env=env, stdout=subprocess.PIPE,
+                            text=True)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in args]
+    for root in roots:
+        if not (root / "src" / "gyrokit").is_dir():
+            print(f"error: no src/gyrokit under {root}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = call_list(Path(tmp))
+        path = Path(tmp) / "calls.json"
+        path.write_text(json.dumps(calls))
+        procs = [start_tree(root, path) for root in roots]
+        outs = [proc.communicate()[0] for proc in procs]
+    for root, proc in zip(roots, procs):
+        if proc.returncode:
+            print(f"error: the calls failed to run in {root}", file=sys.stderr)
+            return 2
+    results = [json.loads(out) for out in outs]
+    diffs = 0
+    for argv, a, b in zip(calls, *results):
+        fields = [f for f, x, y in zip(FIELDS, a, b) if x != y]
+        if fields:
+            diffs += 1
+            print(f"differs in {', '.join(fields)}: gyrokit {' '.join(argv)}")
+    print(f"{diffs} of {len(calls)} calls differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
