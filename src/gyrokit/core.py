@@ -14,9 +14,9 @@ gyration is recovered from the operation through
 
 which every model here exposes as ``gyr_formula``.  The models with a
 known closed form, the Einstein ball and the Moebius disk, override
-``gyr``, and finite tables read it from a gyration tensor computed once
-by the same formula; the formula remains the oracle and the two are
-compared by ``check_identities``.
+``gyr``, and finite tables read it from their distinct gyrations,
+computed once by the same formula; the formula remains the oracle and
+the two are compared by ``check_identities``.
 
 Verification is sample-based: finite models are always checked
 exhaustively, continuous models with a seeded pseudorandom sampler plus
@@ -38,9 +38,9 @@ of one pass over all rows, and a sweep's memory does not grow with its
 sample count.  Within a block, each gyration gyr[a, b] is applied once
 to a stack of its arguments, and each sum a + b is formed once.  A
 finite ``check_identities`` block is the index grid of its slab.
-``check_axioms`` on a finite table reads ``table``, ``inverses`` and
-``G`` directly, in ``G``'s dtype: every check of a slab is one gather of
-shape (slab, n, n), and no index grid is built.
+``check_axioms`` on a finite table reads ``table``, ``inverses`` and the
+gyrations ``P[gid]`` directly, in ``P``'s dtype: every check of a slab is
+one gather of shape (slab, n, n), and no index grid is built.
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ def check_axioms(model: GyroModel, spec: SampleSpec = SampleSpec()) -> AxiomRepo
     makes norm balls a gyration-invariant neighborhood base.
     """
     if model.is_finite:
-        # built once: the table in G's dtype, its transpose, left division
-        T = model.table.astype(model.G.dtype)
+        # built once: the table in P's dtype, its transpose, left division
+        T = model.table.astype(model.P.dtype)
         Tt = np.ascontiguousarray(T.T)
         left = _left_division(model)
         return _merged(_finite_axiom_checks(model, T, Tt, left, lo, hi)
@@ -485,35 +485,36 @@ def _gather(M, a, b):
     return M.ravel()[a.astype(np.intp) * M.shape[1] + b]
 
 
-def _slab_verdict(name: str, bad, lo: int, samples: int,
-                  width: int | None = None) -> CheckResult:
+def _slab_verdict(name: str, bad, lo: int, samples: int) -> CheckResult:
     """An exact verdict whose witness is the first True of ``bad`` (a slab
-    of first indices from ``lo``), cut to its first ``width`` indices."""
+    of first indices from ``lo``)."""
     hit = first_hit(bad)
     if hit:
         hit[0] += lo
     return CheckResult.exact(name, samples, hit and {
-        "elements": hit[:width], "residual": 1.0})
+        "elements": hit, "residual": 1.0})
 
 
 def _finite_axiom_checks(model: GyroModel, T, Tt, left, lo: int,
                          hi: int) -> list[CheckResult]:
     """The checks of ``check_axioms`` on the triples (x, y, z) with
     lo <= x < hi of a finite table, as gathers on ``T`` (the table in
-    ``G``'s dtype), its transpose ``Tt``, ``inverses``, ``G`` and the
+    ``P``'s dtype), its transpose ``Tt``, ``inverses``, ``P[gid]`` and the
     ``_left_division`` table ``left``.  Each check counts the slab's
     (hi - lo) n^2 triples, and a failure's witness is its first failing
     triple in row-major order: [x] alone for the checks that involve x
     only, whose first failing row is (x, 0, 0).  Exact finite-only checks
-    follow: gyration bijectivity, on the slab's (hi - lo) n gyrations, and
-    left division, which solves (x + y) + w = x + (y + z) for w with the
-    first-occurrence inverse of each Cayley row and compares against the
-    gyration; the two agree exactly when gyroassociativity holds with a
-    unique solution."""
-    n, G = model.n, model.G
+    follow: gyration bijectivity, on the slab's (hi - lo) n gyrations but
+    sorted once per distinct permutation, and left division, which solves
+    (x + y) + w = x + (y + z) for w with the first-occurrence inverse of
+    each Cayley row and compares against the gyration; the two agree
+    exactly when gyroassociativity holds with a unique solution."""
+    n, P, gid = model.n, model.P, model.gid
     x = np.arange(lo, hi)
     inv = model.inverses[x]
-    Ta, Ga = T[lo:hi], G[lo:hi]
+    Ta, Ga = T[lo:hi], P[gid[lo:hi]]
+    ids, back = np.unique(gid[lo:hi], return_inverse=True)
+    nonperm = (np.sort(P[ids], axis=1) != np.arange(n, dtype=P.dtype)).any(1)
     TaT = Ta[:, T]  # x + (y + z)
     cube = (hi - lo) * n * n
     rows = np.arange((hi - lo) * n).reshape(hi - lo, n, 1)
@@ -525,17 +526,16 @@ def _finite_axiom_checks(model: GyroModel, T, Tt, left, lo: int,
         # x + (y + z) = (x + y) + gyr[x, y](z)
         _slab_verdict("axiom-gyroassociativity",
                       TaT != _gather(T, Ta[:, :, None], Ga), lo, cube),
-        # gyr[x + y, y](z) = gyr[x, y](z): row (x + y) n + y of G as (n^2, n)
+        # gyr[x + y, y](z) = gyr[x, y](z)
         _slab_verdict("axiom-loop-property",
-                      G.reshape(n * n, n)[Ta.astype(np.intp) * n
-                                          + np.arange(n)] != Ga, lo, cube),
+                      P[gid[Ta, np.arange(n)]] != Ga, lo, cube),
         # gyr[x, y](z + x) = gyr[x, y](z) + gyr[x, y](x)
         _slab_verdict("gyration-additivity",
                       _gather(Ga.reshape(-1, n), rows, Tt[x][:, None, :])
-                      != _gather(Tt, G[x, :, x][:, :, None], Ga), lo, cube),
+                      != _gather(Tt, P[gid[x], x[:, None]][:, :, None], Ga),
+                      lo, cube),
         _slab_verdict("gyration-bijectivity",
-                      np.sort(Ga, axis=2) != np.arange(n, dtype=G.dtype),
-                      lo, (hi - lo) * n, width=2),
+                      nonperm[back].reshape(hi - lo, n), lo, (hi - lo) * n),
         _slab_verdict("gyration-left-division",
                       _gather(left, Ta[:, :, None], TaT) != Ga, lo, cube),
     ]

@@ -87,7 +87,8 @@ def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
     if model.is_finite:
         H = _as_finite_set(model, H)
         idx = H.index_array()
-        hit = first_hit(~H.members()[model.G[:, idx[:, None], idx]].all(-1))
+        img = model.P[model.gid[:, idx][:, :, None], idx]
+        hit = first_hit(~H.members()[img].all(-1))
         if hit:
             return False, {"kind": "gyration",
                            "elements": [hit[0], int(idx[hit[1]])]}

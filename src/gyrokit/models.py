@@ -312,14 +312,14 @@ class FiniteTable(GyroModel):
     axiom suite and rejects any table that is not a gyrogroup, so every
     live instance is a validated model.  Labels are cosmetic.
 
-    ``G[a, b, z] = gyr[a, b](z)`` is computed once by table lookups, one
-    slab of first indices a at a time, and kept in the smallest unsigned
-    dtype: n^3 bytes up to n = 256, and ``gyr`` returns that dtype.  The
-    load-time ``check_axioms`` reads ``table``, ``inverses`` and ``G`` in
-    the same slabs, so beside ``G`` it needs only one slab's gathers.
-    Public methods check carrier membership; the finite algorithms index
-    ``table``, ``inverses`` and ``G`` directly; gyration invariance reads
-    the orbit partition ``gyr_orbits``, exact on a validated table.
+    Each distinct gyration is stored once: ``P`` is the k x n array of the
+    distinct permutations z -> gyr[a, b](z), in the smallest unsigned
+    dtype, and gyr[a, b](z) = P[gid[a, b], z] with the n x n ids ``gid``.
+    Both are built by table lookups one slab of first indices at a time,
+    and no n^3 array exists.  Public methods check carrier membership; the
+    finite algorithms, the load-time ``check_axioms`` among them, index
+    ``table``, ``inverses``, ``P`` and ``gid`` directly, and the gyration
+    tests run over the k rows of ``P``.
     """
 
     is_finite = True
@@ -358,13 +358,18 @@ class FiniteTable(GyroModel):
         # a + b = 0, else 0
         self.inverses = inv = np.where(count > 0, hits.argmax(axis=1),
                                        zero.argmax(axis=1))
-        # G[a, b] = -(a + b) + (a + (b + .)), a slab at a time: no n^3
-        # temporary is alive beside G
+        # gyr[a, b] = -(a + b) + (a + (b + .)), a slab at a time; a dict
+        # keyed by raw row bytes numbers the distinct rows, and its keys are P
         t = tbl.astype(np.min_scalar_type(n - 1))
-        self.G = np.empty((n, n, n), dtype=t.dtype)
+        row, ids = np.dtype((np.void, n * t.itemsize)), {}
+        self.gid = np.empty((n, n), dtype=np.intp)
         for lo, hi in _slabs(n):
             ta = t[lo:hi]
-            self.G[lo:hi] = _gather(t, inv[ta][:, :, None], ta[:, t])
+            g = _gather(t, inv[ta][:, :, None], ta[:, t]).reshape(-1, n)
+            keys, back = np.unique(g.view(row).ravel(), return_inverse=True)
+            local = [ids.setdefault(key, len(ids)) for key in keys.tolist()]
+            self.gid[lo:hi] = np.take(local, back).reshape(hi - lo, n)
+        self.P = np.frombuffer(b"".join(ids), dtype=t.dtype).reshape(-1, n)
 
         # the load-time validation report (None if validate=False)
         self.axiom_report = None
@@ -411,11 +416,11 @@ class FiniteTable(GyroModel):
         return int(a)
 
     def gyr(self, a, b, z):
-        # gathered in G's dtype: no int64 copy of operands or result
+        # gathered in P's dtype: no int64 copy of the result
         a, b, z = (np.asarray(v) for v in (a, b, z))
         if not (self.contains(a) and self.contains(b) and self.contains(z)):
             raise CarrierError("index out of range")
-        out = self.G[a, b, z]
+        out = self.P[self.gid[a, b], z]
         return int(out) if out.ndim == 0 else out
 
     def gyr_table(self, a: int, b: int) -> np.ndarray:
@@ -423,20 +428,16 @@ class FiniteTable(GyroModel):
         return self.gyr(a, b, np.arange(self.n))
 
     def is_group(self) -> bool:
-        """True when every gyration is the identity permutation: ``G`` is
-        compared one ``_slabs`` slab at a time, up to the first that differs."""
-        z = np.arange(self.n, dtype=self.G.dtype)
-        return all((self.G[lo:hi] == z).all() for lo, hi in _slabs(self.n))
+        """True when every gyration, every row of ``P``, is the identity."""
+        return bool((self.P == np.arange(self.n)).all())
 
     @functools.cached_property
     def gyr_orbits(self) -> np.ndarray:
         """Per element, the least of its orbit under the group the gyrations
-        generate: the reach of z -> gyr[a, b](z), marked a slab of ``G`` at a
-        time and squared until closed (an orbit, as gyrations permute)."""
-        n = self.n
-        reach = np.eye(n, dtype=bool)
-        for lo, hi in _slabs(n):
-            reach.ravel()[np.arange(0, n * n, n) + self.G[lo:hi]] = True
+        generate: the reach of z -> P[i, z] over the k rows of ``P``,
+        squared until closed (an orbit, as gyrations permute)."""
+        reach = np.eye(self.n, dtype=bool)
+        reach[np.arange(self.n), self.P] = True
         while not np.array_equal(closed := reach @ reach, reach):
             reach = closed
         return reach.argmax(axis=1)
@@ -450,13 +451,11 @@ class FiniteTable(GyroModel):
         return np.minimum(orb, orb[self.inverses])
 
     def invariance_witness(self, values):
-        """None if the array ``values`` is constant on each ``gyr_orbits``
-        orbit, else the first [a, b, z] with values[G[a, b, z]] != values[z]."""
-        if np.array_equal(values[self.gyr_orbits], values):
-            return None
-        for lo, hi in _slabs(self.n):
-            if hit := first_hit(values[self.G[lo:hi]] != values):
-                return [hit[0] + lo] + hit[1:]
+        """None if ``values`` is invariant under every gyration, else the
+        first [a, b, z] with values[P[gid[a, b], z]] != values[z]."""
+        bad = values[self.P] != values
+        hit = first_hit(bad.any(axis=1)[self.gid])
+        return hit and hit + [int(np.argmax(bad[self.gid[tuple(hit)]]))]
 
     def to_dict(self) -> dict:
         return {"order": self.n, "labels": self.labels,

@@ -24,11 +24,11 @@ Finite chains are eventually constant: the last listed set repeats
 forever and is the tail H.  Past the first chain index s from which
 every listed set is H, each index bit adds an H factor, and H (+) (H (+)
 V) = H (+) V by gyration invariance and the tail's closure (both
-validated).  So level s + 1 holds every distinct set of the family at
-any depth, and a finite family stops at levels = min(depth, s + 1).
-Closed under the tail -- x in H (+) V(r) certifies N(x) <= r -- N is then
-the exact infimum of the infinite construction, once depth > s.  N,
-rho_N and varrho are exact numerators over 2^levels; the balls and the
+validated).  A row between V(q/2^s) and V((q+1)/2^s) is H (+) V(q/2^s):
+V(q/2^s) for odd q, V((q+1)/2^s) for even q.  So a finite family stops
+at levels = min(depth, s).  Closed under the tail -- x in H (+) V(r)
+certifies N(x) <= r -- N is the exact infimum once depth >= s.  N, rho_N
+and varrho are exact numerators over 2^levels; the balls and the
 quotient matrix are reads of the n x n rho_N matrix.  Radial chains
 (norm balls) collapse to one-dimensional arithmetic on 2^depth radii.
 
@@ -230,10 +230,10 @@ def validate_chain(model: GyroModel, chain: DyadicChain,
 
 class DyadicFamily:
     """The dyadic family of a chain, as ``rows[m - 1]`` = V(m/2^levels) for
-    m = 1 ... 2^levels: boolean membership rows (finite chains) or ball
-    radii (radial chains, with levels = depth).  Level k of the recursion
-    holds V(m/2^k); its even rows are level k - 1 and its odd rows U_k (+)
-    [V(0) = {0}; level k - 1].
+    m = 1 ... 2^levels: boolean membership rows (finite chains, levels =
+    min(depth, s)) or ball radii (radial chains, levels = depth).  Level k
+    of the recursion holds V(m/2^k); its even rows are level k - 1 and its
+    odd rows U_k (+) [V(0) = {0}; level k - 1].
 
     Finite families keep ``_num`` = 2^levels N and ``_rho`` = 2^levels
     rho_N (n x n), in the least unsigned dtype that holds a sum of two
@@ -249,7 +249,7 @@ class DyadicFamily:
         s = len(chain) - 1
         while finite and s and chain.sets[s - 1] == self.tail:
             s -= 1
-        self.levels = levels = min(depth, s + 1) if finite else depth
+        self.levels = levels = min(depth, s) if finite else depth
         self.scale = scale = 2 ** levels
         U = chain.set_at(0)
         rows = np.array([U.members() if finite else U.radius])

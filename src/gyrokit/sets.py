@@ -5,8 +5,8 @@ every finite algorithm reads.  Set arithmetic is exact and elementwise,
 A (+) B = {a + b : a in A, b in B}: one boolean matrix product of
 membership rows with the sum matrix of A (``oplus_rows``).
 Symmetry is a membership lookup through ``inverses``, and gyration
-invariance one test against the table's orbit partition ``gyr_orbits``;
-both need a validated table, whose inversion and gyrations are
+invariance one test over the table's distinct gyrations, the rows of
+``P``; both need a validated table, whose inversion and gyrations are
 bijections.
 
 For the continuous ball models only radial (norm-ball) sets are

@@ -94,6 +94,22 @@ def brute_gyr(model, a, b, z):
     return hits[0]
 
 
+def full_gyrations(model):
+    """G[a, b, z] = gyr[a, b](z) = -(a + b) + (a + (b + z)) for every
+    triple, as one n^3 gather on the table and its inverses: the oracle
+    that ``P`` and ``gid`` are tested against, independent of both."""
+    T, inv = model.table, model.inverses
+    return T[inv[T][:, :, None], T[:, T]]
+
+
+def plant_gyration(model, a, b, row):
+    """Make gyr[a, b] read the index row ``row``: the row is appended to
+    ``P`` and ``gid[a, b]`` points at it; every other gyration is kept."""
+    row = np.asarray(row, dtype=model.P.dtype)
+    model.P = np.concatenate([model.P, row[None]])
+    model.gid[a, b] = len(model.P) - 1
+
+
 def brute_l_subgyrogroups(model):
     """L-subgyrogroups via the brute-force gyration oracle."""
     gyr = functools.cache(lambda a, h, x: brute_gyr(model, a, h, x))

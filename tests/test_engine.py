@@ -1,5 +1,5 @@
-"""The cached gyration tensor, the array engine and the blocked sweeps
-against loop and whole-array oracles."""
+"""The stored gyrations, the array engine and the blocked sweeps against
+loop and whole-array oracles."""
 
 import functools
 import itertools
@@ -28,22 +28,66 @@ from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
 from gyrokit.sets import oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path, load_bundled, set_of_bits, triples)
+                      bundled_table_path, full_gyrations, load_bundled,
+                      plant_gyration, set_of_bits, triples)
 
 
 def test_tensor_matches_brute_gyr(g8):
-    assert g8.G.dtype == np.uint8
+    # P[gid] is the whole gyration tensor G[a, b, z] = gyr[a, b](z)
+    assert g8.P.dtype == np.uint8
+    G = g8.P[g8.gid]
     for a in range(8):
         for b in range(8):
             for z in range(8):
-                assert g8.G[a, b, z] == brute_gyr(g8, a, b, z)
+                assert G[a, b, z] == brute_gyr(g8, a, b, z)
 
 
 def test_gyr_gathers_in_tensor_dtype(g8):
     # no int64 copies: a sweep block's stacked gyration stays small
     out = g8.gyr(*np.indices((8, 8, 8)).reshape(3, -1))
-    assert out.dtype == g8.G.dtype
-    assert np.array_equal(out, g8.G.ravel())
+    assert out.dtype == g8.P.dtype
+    assert np.array_equal(out, full_gyrations(g8).ravel())
+
+
+def assert_ids_match_formula(model):
+    """P[gid] is the n^3 formula tensor, and no row of P repeats."""
+    assert np.array_equal(model.P[model.gid], full_gyrations(model))
+    assert len(np.unique(model.P, axis=0)) == len(model.P)
+
+
+@pytest.mark.parametrize("name,k", [("z4", 1), ("klein4", 1), ("g8", 2)])
+def test_bundled_gyration_ids_match_formula(name, k):
+    model = load_bundled(name)
+    assert_ids_match_formula(model)
+    assert len(model.P) == k
+
+
+@pytest.mark.parametrize("kind", ["valid", "row-swapped", "cell-overwritten",
+                                  "row-permuted", "column-swapped"])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 16])  # n = 8 ... 128
+def test_gyration_ids_match_formula(g8, k, kind):
+    # every g8 x Z_k has exactly 2 distinct gyrations; a corrupted one
+    # has more, each still stored once
+    if kind == "valid":
+        model = FiniteTable(product_table(g8, k))
+        assert len(model.P) == 2
+    else:
+        model = corrupted(g8, k, kind)
+        assert len(model.P) > 2
+    assert_ids_match_formula(model)
+
+
+def test_load_and_orbits_stay_below_a_quarter_cube(g8):
+    # g8 x Z_32 (n = 256): the load, with its axiom sweep, and the orbit
+    # partition hold no n^3 array; tracemalloc's peak stays below n^3 / 4
+    T = product_table(g8, 32)
+    tracemalloc.start()
+    try:
+        FiniteTable(T).gyr_orbits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(T) ** 3 // 4
 
 
 def test_l_subgyrogroups_match_brute_force(g8xz2):
@@ -179,7 +223,9 @@ def test_l_subgyrogroup_witness_matches_loop(g8xz2):
     model = FiniteTable(g8xz2.table)
     H = FiniteSet(16, indices=range(4))
     assert is_L_subgyrogroup(model, H) == (True, None)
-    model.G[5, 3, 1] = 4
+    row = model.gyr_table(5, 3)
+    row[1] = 4
+    plant_gyration(model, 5, 3, row)
     assert loop_l_witness(model, H) == [5, 3]
     assert is_L_subgyrogroup(model, H) == (
         False, {"kind": "gyration", "elements": [5, 3]})
@@ -671,7 +717,8 @@ def product_table(g8, k):
 
 def corrupted(g8, k, kind):
     """g8 x Z_k, unvalidated, broken in row n - 3 (beyond the first slab)
-    through column 0, or with a planted defect in its gyration tensor."""
+    through column 0, in its columns n - 3 and n - 1, or with a planted
+    defect in one of its gyrations."""
     T = product_table(g8, k)
     n = len(T)
     r = n - 3
@@ -681,10 +728,14 @@ def corrupted(g8, k, kind):
         T[r, 0] = T[r, 5]
     elif kind == "row-permuted":
         T[r] = np.roll(T[r], 1)
+    elif kind == "column-swapped":
+        T[:, [r, n - 1]] = T[:, [n - 1, r]]
     model = FiniteTable(T, validate=False)
     if kind == "tensor-planted":
         # gyr[r, 3] sends 5 and 6 to the same image
-        model.G[r, 3, 5] = model.G[r, 3, 6]
+        row = model.gyr_table(r, 3)
+        row[5] = row[6]
+        plant_gyration(model, r, 3, row)
     return model
 
 
@@ -704,7 +755,7 @@ def test_finite_gather_body_matches_whole_cube(g8, k, kind):
     assert got.to_json_lines() == AxiomReport(want).to_json_lines()
     assert all(r.samples == n ** 3 for r in got.results[:7])
     # witnesses beyond the first slab: of the x-only checks from the broken
-    # row, of every three-index check from the planted tensor
+    # row, of every three-index check from the planted gyration
     late = {r.name for r in got.failures()
             if r.witness["elements"][0] >= slab}
     if kind == "tensor-planted":
@@ -715,8 +766,9 @@ def test_finite_gather_body_matches_whole_cube(g8, k, kind):
 
 
 def whole_extras(model):
-    """Bijectivity and left division on the whole cube: the reference."""
-    n, G, T = model.n, model.G, model.table
+    """Bijectivity and left division on the whole cube of the model's
+    gyrations P[gid], planted ones included: the reference."""
+    n, G, T = model.n, model.P[model.gid], model.table
     ab = first_hit(np.sort(G, axis=2) != np.arange(n))
     abz = first_hit(_left_division(model)[T[:, :, None], T[:, T]] != G)
     return [CheckResult.exact("gyration-bijectivity", n * n,
@@ -726,12 +778,14 @@ def whole_extras(model):
 
 
 def test_slabbed_finite_extras_match_whole_cube(g8):
-    # g8 x Z_8 (n = 64, four slabs of 16) whose gyration tensor has one
-    # planted defect: gyr[40, 3] sends 5 and 6 to the same image, so both
-    # checks fail first in the third slab
+    # g8 x Z_8 (n = 64, four slabs of 16) with one planted gyration:
+    # gyr[40, 3] sends 5 and 6 to the same image, so both checks fail
+    # first in the third slab
     model = FiniteTable(product_table(g8, 8), validate=False)
-    model.G[40, 3, 5] = model.G[40, 3, 6]
-    T = model.table.astype(model.G.dtype)
+    row = model.gyr_table(40, 3)
+    row[5] = row[6]
+    plant_gyration(model, 40, 3, row)
+    T = model.table.astype(model.P.dtype)
     Tt, left = np.ascontiguousarray(T.T), _left_division(model)
 
     def extras(lo, hi):
@@ -867,7 +921,7 @@ def test_gyr_orbits_close_a_planted_cycle(g8):
     # a planted gyration z -> z + 2 mod 16 on g8 x Z_2 reaches two steps
     # at a time, so the orbits {evens} and {odds} need repeated squaring
     model = FiniteTable(product_table(g8, 2))
-    model.G[5, 3] = (np.arange(16) + 2) % 16
+    plant_gyration(model, 5, 3, (np.arange(16) + 2) % 16)
     assert np.array_equal(model.gyr_orbits, bfs_orbits(model))
     assert np.array_equal(model.gyr_orbits, np.arange(16) % 2)
 
@@ -875,9 +929,9 @@ def test_gyr_orbits_close_a_planted_cycle(g8):
 @pytest.mark.parametrize("k", [1, 6, 16])  # n = 8, 48, 128
 def test_invariance_witness_matches_gathers(k):
     # orbit unions, every other one perturbed in one or two elements; the
-    # n^2 |U| and n^3 gathers that decided invariance before are the oracles
+    # n^2 |U| and n^3 gathers on the whole gyration tensor are the oracles
     model = product_model(k)
-    n, G, orb = model.n, model.G, model.gyr_orbits
+    n, G, orb = model.n, full_gyrations(model), model.gyr_orbits
     reps = np.unique(orb)
     rng = np.random.default_rng(k)
     verdicts = []
@@ -905,7 +959,7 @@ def test_invariance_witness_finds_planted_numerator_defect():
     # numerator raised on an element that g8's gyrations move
     k = 16
     model = product_model(k)
-    n, G = model.n, model.G
+    n, G = model.n, full_gyrations(model)
     chain = DyadicChain([FiniteSet(n, indices=s) for s in (
         range(n), lift(k, [0, 1, 4, 5], range(k)), lift(k, [0, 1], range(k)),
         lift(k, [0, 1], [0]), [0])], "admissible")
@@ -984,8 +1038,8 @@ def test_shrink_and_hull_match_meshgrid_greedy(k, count):
 
 def test_invariance_and_hull_peak_below_cube(g8):
     # g8 x Z_16 (n = 128): on a fresh table, the orbit partition, the
-    # whole-carrier invariance verdict and the hull stay below one
-    # n^3 byte array (G itself), measured by tracemalloc
+    # whole-carrier invariance verdict and the hull stay below n^3 bytes,
+    # measured by tracemalloc
     full = FiniteSet.of(np.ones(128, dtype=bool))
     for run in (full.gyr_invariance_witness,
                 lambda model: admissible_hull(model, full)):
@@ -1001,20 +1055,23 @@ def test_invariance_and_hull_peak_below_cube(g8):
 
 @pytest.mark.parametrize("kind", ["product", "cyclic", "planted"])
 def test_is_group_slabbed_and_below_cube(g8, kind):
-    # n = 128: g8 x Z_16 is not a group; Z_128 is, unless one gyration in
-    # its last slab is planted; each verdict stays below n^3 / 8 bytes
+    # n = 128: g8 x Z_16 is not a group; Z_128 is, unless one gyration of
+    # its last first index is planted; each verdict stays below n^3 / 8
+    # bytes
     if kind == "product":
         model = FiniteTable(product_table(g8, 16))
     else:
         model = FiniteTable(cyclic_table(128).table, validate=False)
         if kind == "planted":
-            model.G[127, 3, 5] = 6
+            row = model.gyr_table(127, 3)
+            row[5] = 6
+            plant_gyration(model, 127, 3, row)
     tracemalloc.start()
     try:
         verdict = model.is_group()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict == bool(np.all(model.G == np.arange(model.n)))
+    assert verdict == bool(np.all(model.P[model.gid] == np.arange(model.n)))
     assert verdict == (kind == "cyclic")
     assert peak < model.n ** 3 // 8

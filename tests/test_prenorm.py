@@ -264,7 +264,7 @@ def golden_chain(name):
 
 
 class TestStabilizedFamily:
-    """A finite family stops at levels = min(depth, s + 1), s the first
+    """A finite family stops at levels = min(depth, s), s the first
     chain index from which every set is the tail; what it reports equals
     the full 2^depth build's."""
 
@@ -287,10 +287,10 @@ class TestStabilizedFamily:
                     == prenorm_laws_check(model, full))
 
     def test_depth_62_builds_the_stabilization_level(self):
-        # g8-hull lists [.., {0}, {0}]: s = 5, so 2^6 rows at any depth >= 6
+        # g8-hull lists [.., {0}, {0}]: s = 5, so 2^5 rows at any depth >= 5
         model, chain = golden_chain("g8-hull")
         fam = build_dyadic_family(model, chain, 62)
-        assert (fam.levels, fam.scale, fam.rows.shape) == (6, 64, (64, 8))
+        assert (fam.levels, fam.scale, fam.rows.shape) == (5, 32, (32, 8))
         assert fam.monotone_check().samples == 2 ** 62
         assert fam.value_grid() == build_dyadic_family(
             model, chain, 6).value_grid()

@@ -5,8 +5,9 @@
 
 For each k (``FACTORS`` unless factors are given) builds the direct
 product g8 x Z_k (order n = 8k) and loads it with ``FiniteTable``, which
-computes the gyration tensor and runs the exhaustive axiom sweep.  In the same process it then
-times the gyration-orbit partition ``gyr_orbits``, ``admissible_hull`` of
+stores each distinct gyration once (``P``, with the ids ``gid``) and runs
+the exhaustive axiom sweep.  In the same process it then times the
+gyration-orbit partition ``gyr_orbits``, ``admissible_hull`` of
 the whole carrier to depth ``DEPTH``, and ``build_dyadic_family`` to that
 depth (which validates the chain) and ``prenorm_laws_check`` on the fixed
 admissible chain
@@ -16,8 +17,9 @@ admissible chain
 with the g8 subgroups S4 and S2 of ``tests/golden/chains/g8-adm.json``.
 Each order runs in a fresh Python process, so that its peak resident
 memory (``getrusage``'s ``ru_maxrss``) is its own; the process's imports
-and the product table count towards it.  Prints the seconds of each
-stage, the peak MiB per order, and whether the prenorm laws passed.
+and the product table count towards it.  Prints the number k of
+distinct gyrations (2 for every g8 x Z_k), the seconds of each stage,
+the peak MiB per order, and whether the prenorm laws passed.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -35,7 +37,7 @@ FACTORS = [16, 32, 64]  # n = 128, 256, 512
 DEPTH = 10
 S4, S2 = [0, 1, 4, 5], [0, 1]  # the g8 sets of tests/golden/chains/g8-adm.json
 
-# run in a fresh process with argv[1] = k; prints {"n", "load_s",
+# run in a fresh process with argv[1] = k; prints {"n", "k", "load_s",
 # "orbits_s", "hull_s", "family_s", "laws_s", "peak_mib", "passed"}
 CHILD = f"""
 import json, resource, sys, time
@@ -63,6 +65,7 @@ def lift(S, Z):
     return [g * k + z for g in S for z in Z]
 
 model = timed("load", lambda: FiniteTable(T, name=f"g8xz{{k}}"))
+out["k"] = len(model.P)
 timed("orbits", lambda: model.gyr_orbits)
 full = FiniteSet.of(np.ones(8 * k, dtype=bool))
 timed("hull", lambda: admissible_hull(model, full, depth={DEPTH}))
@@ -89,11 +92,12 @@ def load(k: int) -> dict:
 def main(argv: list[str]) -> int:
     factors = [int(a) for a in argv] or FACTORS
     cols = ["load", "orbits", "hull", "family", "laws"]
-    print(f"{'table':<10}{'n':>6}" + "".join(f"{c + ' s':>10}" for c in cols)
+    print(f"{'table':<10}{'n':>6}{'k':>6}"
+          + "".join(f"{c + ' s':>10}" for c in cols)
           + f"{'peak MiB':>11}{'passed':>8}")
     for k in factors:
         r = load(k)
-        print(f"{'g8xz' + str(k):<10}{r['n']:>6}"
+        print(f"{'g8xz' + str(k):<10}{r['n']:>6}{r['k']:>6}"
               + "".join(f"{r[c + '_s']:>10.2f}" for c in cols)
               + f"{r['peak_mib']:>11.0f}{str(r['passed']):>8}")
     return 0

@@ -22,7 +22,13 @@ The calls are:
   each ball model, at depths 0, 1, 4, 10 and 62;
 - ``metric`` on Einstein d=3, Einstein d=2 at c = 1.5 and Moebius, on the
   third-radius hull chains of those balls, at depths 0-15 and seeds 0
-  and 7.
+  and 7;
+- ``check``, ``identities``, ``cosets`` and ``hull`` on corrupted g8 x Z_k
+  tables of order up to 64: ``check`` and ``identities`` sweep them
+  unvalidated, ``cosets`` and ``hull`` refuse them at load with exit 2
+  and a message that names the defect.  Each table is written once to a
+  temporary directory that both trees read, as its path is in the
+  ``_config`` record.
 
 Calls with ``--depth`` above 62 are refused by the CLI and left out, and
 so are ``metric`` calls above depth 20: a tree that builds all 2^depth
@@ -53,6 +59,9 @@ BALL_MODELS = {  # name: (model flags, c)
     "mobius": (["--model", "mobius"], 1.0),
 }
 BALLS = [0.8, 0.5]  # ball radii as fractions of c
+CORRUPT_FACTORS = [1, 2, 3, 6, 8]  # g8 x Z_k of order 8 ... 64
+CORRUPTIONS = ["row-swapped", "cell-overwritten", "row-permuted",
+               "column-swapped"]
 
 # run from a tree's root with its src/ on the path; reads the calls from
 # the JSON list of argvs at argv[1], prints [exit, stdout, stderr, --out
@@ -95,6 +104,35 @@ def radial_chain(tmp: Path, name: str, c: float, ball: float) -> str:
     return str(path)
 
 
+def corrupted_tables(tmp: Path) -> list[str]:
+    """The paths of g8 x Z_k, for k in ``CORRUPT_FACTORS``, broken in row
+    or column n - 3 as by ``corrupted`` in ``tests/test_engine.py`` and
+    written to ``tmp``."""
+    import numpy as np
+
+    g8 = np.array(json.loads(
+        (HERE / "src" / "gyrokit" / "tables" / "g8.json").read_text())["table"])
+    paths = []
+    for k in CORRUPT_FACTORS:
+        i = np.arange(8 * k)
+        product = g8[i[:, None] // k, i // k] * k + (i[:, None] + i) % k
+        n, r = 8 * k, 8 * k - 3
+        for kind in CORRUPTIONS:
+            T = product.copy()
+            if kind == "row-swapped":
+                T[r, [0, n - 1]] = T[r, [n - 1, 0]]
+            elif kind == "cell-overwritten":
+                T[r, 0] = T[r, 5]
+            elif kind == "row-permuted":
+                T[r] = np.roll(T[r], 1)
+            else:
+                T[:, [r, n - 1]] = T[:, [n - 1, r]]
+            path = tmp / f"g8xz{k}-{kind}.json"
+            path.write_text(json.dumps({"order": n, "table": T.tolist()}))
+            paths.append(str(path))
+    return paths
+
+
 def call_list(tmp: Path) -> list[list[str]]:
     sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
     from test_golden import CASES
@@ -121,6 +159,11 @@ def call_list(tmp: Path) -> list[list[str]]:
             calls += [["metric", *model, "--chain", chain, "--depth", str(d),
                        "--seed", str(seed)]
                       for d in RADIAL_DEPTHS for seed in SEEDS]
+    for path in corrupted_tables(tmp):
+        model = ["--model", f"table:{path}"]
+        calls += [["check", *model], ["identities", *model],
+                  ["cosets", *model, "--subset", "0,1"],
+                  ["hull", *model, "--subset", "0,1"]]
     return [argv for argv in calls if depth_of(argv) <= 62
             and (argv[0] != "metric" or depth_of(argv) <= 20)]
 
