@@ -32,10 +32,12 @@ __all__ = ["FiniteSet", "RadialBall", "AxisSet", "OriginSet", "parse_subset"]
 
 
 def member_masks(vals, n: int) -> np.ndarray:
-    """out[..., x] is True when x occurs in vals[..., :]."""
+    """out[..., x] is True when x occurs in vals[..., :], for vals in
+    0 ... n - 1: True is scattered at the flat indices row n + x."""
     vals = np.asarray(vals)
     out = np.zeros(vals.shape[:-1] + (n,), dtype=bool)
-    np.put_along_axis(out, vals, True, axis=-1)
+    rows = np.arange(0, out.size, n).reshape(vals.shape[:-1] + (1,))
+    out.ravel()[rows + vals] = True
     return out
 
 

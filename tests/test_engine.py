@@ -11,6 +11,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      RadialBall, check_axioms, check_identities, cyclic_table,
@@ -19,13 +20,13 @@ from gyrokit import core
 from gyrokit.cli import main
 from gyrokit.core import (CHUNK, ROWS, AxiomReport, CarrierError, CheckResult,
                           SampleSpec, TableError, _axiom_checks, _drawn,
-                          _finite_axiom_checks, _identity_checks,
-                          _left_division, _mapped, _merged, _slabs, _swept,
-                          _verdict, first_hit)
+                          _finite_axiom_checks, _finite_axioms_hold,
+                          _identity_checks, _left_division, _mapped, _merged,
+                          _slabs, _swept, _verdict, first_hit)
 from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
                              _invariant_restriction, admissible_hull,
                              build_dyadic_family, prenorm_laws_check, shrink)
-from gyrokit.sets import oplus_rows
+from gyrokit.sets import member_masks, oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
                       bundled_table_path, full_gyrations, load_bundled,
@@ -167,6 +168,17 @@ def test_oplus_rows_matches_scatter(g8, k):
             got = oplus_rows(model, U, rows)
             assert got.dtype == bool and got.shape == shape
             assert np.array_equal(got, scatter_oplus_rows(model, U, rows))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("shape", [(5,), (3, 7), (2, 3, 4), (4, 0)])
+def test_member_masks_match_put_along_axis(shape, dtype):
+    n = 9
+    vals = np.random.default_rng(len(shape)).integers(0, n, shape, dtype)
+    want = np.zeros(shape[:-1] + (n,), dtype=bool)
+    np.put_along_axis(want, vals, True, axis=-1)
+    got = member_masks(vals, n)
+    assert got.dtype == bool and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["g8", "g8xz2"])
@@ -797,6 +809,144 @@ def test_slabbed_finite_extras_match_whole_cube(g8):
     assert [r.witness["elements"] for r in got.results] == [[40, 3],
                                                             [40, 3, 5]]
     assert [r.samples for r in got.results] == [64 ** 2, 64 ** 3]
+
+
+# check_axioms on a finite table first runs whole-table tests of O(k n^2)
+# cost (_finite_axioms_hold); only where one fails does the slab sweep run,
+# and its report must then be the sweep's, witnesses included.
+
+def slab_sweep(model):
+    """``_merged`` over ``_finite_axiom_checks`` on every slab: the report
+    of the exhaustive sweep, which the sufficient tests must reproduce."""
+    T = model.table.astype(model.P.dtype)
+    Tt, left = np.ascontiguousarray(T.T), _left_division(model)
+    return _merged(_finite_axiom_checks(model, T, Tt, left, lo, hi)
+                   for lo, hi in _slabs(model.n))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sufficient_tests_match_the_slab_sweep(g8, data):
+    # g8 x Z_k, k <= 4, relabeled with 0 kept at 0, then left valid or
+    # broken in one cell, in two entries of a row, or in two columns
+    k = data.draw(st.integers(1, 4), label="k")
+    n = 8 * k
+    p = np.array([0] + data.draw(st.permutations(range(1, n)), label="p"))
+    q = np.argsort(p)
+    T = p[product_table(g8, k)[q][:, q]]
+    kind = data.draw(st.sampled_from(
+        ["valid", "one-cell", "row-swap", "column-swap"]), label="kind")
+    a, b, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if kind == "one-cell":
+        T[a, b] = c
+    elif kind == "row-swap":
+        T[a, [b, c]] = T[a, [c, b]]
+    elif kind == "column-swap":
+        T[:, [b, c]] = T[:, [c, b]]
+    model = FiniteTable(T, validate=False)
+    want = slab_sweep(model)
+    got = check_axioms(model)
+    assert got.results == want.results
+    assert got.to_json_lines() == want.to_json_lines()
+    # the tests hold exactly on the gyrogroups: no valid table is swept
+    hold = _finite_axioms_hold(model, model.table.astype(model.P.dtype))
+    assert hold == want.passed
+
+
+def planted_table(g8, test):
+    """g8 x Z_8 (n = 64, four slabs) made to fail exactly one of the
+    sufficient tests of ``_finite_axioms_hold``, named by ``test``."""
+    model = FiniteTable(product_table(g8, 8), validate=False)
+    if test in ("identity", "left-cancellation"):
+        # cell changes that the other tests do not see: the table's
+        # gyrations are kept from the valid table
+        T = model.table.copy()
+        if test == "identity":
+            T[0, [40, 41]] = T[0, [41, 40]]
+        else:
+            T[41, 36] = 0
+        broken = FiniteTable(T, validate=False)
+        broken.P, broken.gid = model.P, model.gid.copy()
+        return broken
+    if test == "loop-ids":
+        # gyr[40, 9] becomes the other gyration, an automorphism, under an
+        # id of its own
+        plant_gyration(model, 40, 9, model.P[1 - model.gid[40, 9]])
+    elif test == "bijectivity":
+        # gyr[40, 0] sends everything to 0, which is additive
+        plant_gyration(model, 40, 0, np.zeros(64))
+    elif test == "additivity":
+        # gyr[40, 0] swaps 5 and 6 and fixes the rest: a bijection
+        row = np.arange(64)
+        row[[5, 6]] = [6, 5]
+        plant_gyration(model, 40, 0, row)
+    elif test == "shared-additivity":
+        # the gyration that is not the identity, shared by many pairs,
+        # swaps its images of 5 and 6
+        P = model.P.copy()
+        g = np.flatnonzero((P != np.arange(64)).any(axis=1))[0]
+        P[g, [5, 6]] = P[g, [6, 5]]
+        model.P = P
+    return model
+
+
+@pytest.mark.parametrize("test,failures", [
+    ("identity", {"axiom-identity-left": [40],
+                  "axiom-gyroassociativity": [0, 0, 40],
+                  "gyration-left-division": [0, 0, 40]}),
+    ("left-cancellation", {"axiom-gyroassociativity": [1, 40, 36],
+                           "gyration-left-division": [0, 41, 47]}),
+    ("loop-ids", {"axiom-gyroassociativity": [40, 9, 16],
+                  "axiom-loop-property": [39, 9, 16],
+                  "gyration-left-division": [40, 9, 16]}),
+    ("bijectivity", {"axiom-gyroassociativity": [40, 0, 1],
+                     "gyration-bijectivity": [40, 0],
+                     "gyration-left-division": [40, 0, 1]}),
+    ("additivity", {"axiom-gyroassociativity": [40, 0, 5],
+                    "gyration-additivity": [40, 0, 5],
+                    "gyration-left-division": [40, 0, 5]}),
+    ("shared-additivity", {"axiom-gyroassociativity": [8, 16, 5],
+                           "gyration-additivity": [8, 16, 5],
+                           "gyration-left-division": [8, 16, 5]}),
+])
+def test_each_failed_sufficient_test_reports_the_sweep(g8, test, failures):
+    model = planted_table(g8, test)
+    T = model.table.astype(model.P.dtype)
+    assert not _finite_axioms_hold(model, T)
+    got = check_axioms(model)
+    assert got.results == slab_sweep(model).results
+    assert {r.name: r.witness["elements"] for r in got.failures()} == failures
+
+
+def test_validated_load_never_sweeps(g8, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the slab sweep ran")
+    monkeypatch.setattr(core, "_finite_axiom_checks", refuse)
+    report = FiniteTable(product_table(g8, 4)).axiom_report
+    assert report.passed and report.max_residual == 0.0
+    assert [r.samples for r in report.results] == [32 ** 3] * 7 + [
+        32 ** 2, 32 ** 3]
+    # a broken table does reach the sweep
+    with pytest.raises(AssertionError, match="slab sweep"):
+        check_axioms(corrupted(g8, 4, "row-swapped"))
+
+
+@pytest.mark.parametrize("kind", ["valid", "column-swapped"])
+def test_check_axioms_stays_below_a_quarter_cube(g8, kind):
+    # g8 x Z_32 (n = 256): valid, with 2 distinct gyrations, and with two
+    # columns swapped, with 33906
+    if kind == "valid":
+        model = FiniteTable(product_table(g8, 32), validate=False)
+    else:
+        model = corrupted(g8, 32, kind)
+    assert len(model.P) == {"valid": 2, "column-swapped": 33906}[kind]
+    tracemalloc.start()
+    try:
+        assert check_axioms(model).passed == (kind == "valid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n ** 3 // 4
 
 
 def loop_micro_assoc(model, W, V, spec, directions=256):

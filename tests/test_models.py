@@ -314,6 +314,22 @@ class TestFiniteTable:
         with pytest.raises(TableError):
             table_load('{"table": [[0, NaN], [1, 0]]}')
 
+    @pytest.mark.parametrize("bad", [True, 1.5, "3", [1], None])
+    def test_first_bad_entry_is_named(self, bad):
+        # the first bad entry in row-major order, whatever follows it
+        tbl = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        tbl[1][2], tbl[2][0] = bad, 0.25
+        with pytest.raises(TableError) as err:
+            table_load({"table": tbl})
+        assert str(err.value) == f"table entry {bad!r} is not an integer"
+
+    def test_json_entries_of_other_types_are_named(self):
+        for entry, text in [("true", "True"), ("1.5", "1.5"), ('"3"', "'3'"),
+                            ("[1]", "[1]")]:
+            with pytest.raises(TableError) as err:
+                table_load('{"table": [[0, 1], [1, %s]]}' % entry)
+            assert str(err.value) == f"table entry {text} is not an integer"
+
     def test_unvalidated_load_allows_broken_tables(self):
         doc = json.loads(bundled_table_path("z4").read_text())
         doc["table"][1][1] = 3

@@ -5,8 +5,11 @@
 
 For each k (``FACTORS`` unless factors are given) builds the direct
 product g8 x Z_k (order n = 8k) and loads it with ``FiniteTable``, which
-stores each distinct gyration once (``P``, with the ids ``gid``) and runs
-the exhaustive axiom sweep.  In the same process it then times the
+stores each distinct gyration once (``P``, with the ids ``gid``) and
+validates the axioms.  The load's n^3 cost is building ``gid``, by the
+gyration formula over every triple; the validation of a gyrogroup takes
+tests of O(k n^2) cost, and the n^3 axiom sweep runs only on a table that
+is rejected, which these are not.  In the same process it then times the
 gyration-orbit partition ``gyr_orbits``, ``admissible_hull`` of
 the whole carrier to depth ``DEPTH``, and ``build_dyadic_family`` to that
 depth (which validates the chain) and ``prenorm_laws_check`` on the fixed

@@ -26,9 +26,13 @@ The calls are:
 - ``check``, ``identities``, ``cosets`` and ``hull`` on corrupted g8 x Z_k
   tables of order up to 64: ``check`` and ``identities`` sweep them
   unvalidated, ``cosets`` and ``hull`` refuse them at load with exit 2
-  and a message that names the defect.  Each table is written once to a
-  temporary directory that both trees read, as its path is in the
-  ``_config`` record.
+  and a message that names the defect;
+- ``check``, ``cosets`` and ``hull`` on the same g8 x Z_k relabeled by a
+  seeded permutation that keeps 0 at 0: valid tables in new index
+  orders, with the relabeled subgroups S2 x {0} and S4 x Z_k.
+
+Each table is written once to a temporary directory that both trees read,
+as its path is in the ``_config`` record.
 
 Calls with ``--depth`` above 62 are refused by the CLI and left out, and
 so are ``metric`` calls above depth 20: a tree that builds all 2^depth
@@ -44,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 FINITE_DEPTHS = [*range(17), 20]
@@ -104,21 +110,24 @@ def radial_chain(tmp: Path, name: str, c: float, ball: float) -> str:
     return str(path)
 
 
+def product_table(k: int):
+    """g8 x Z_k; the pair (a, b) has index k a + b."""
+    g8 = np.array(json.loads(
+        (HERE / "src" / "gyrokit" / "tables" / "g8.json").read_text())["table"])
+    i = np.arange(8 * k)
+    return g8[i[:, None] // k, i // k] * k + (i[:, None] + i) % k
+
+
 def corrupted_tables(tmp: Path) -> list[str]:
     """The paths of g8 x Z_k, for k in ``CORRUPT_FACTORS``, broken in row
     or column n - 3 as by ``corrupted`` in ``tests/test_engine.py`` and
     written to ``tmp``."""
-    import numpy as np
-
-    g8 = np.array(json.loads(
-        (HERE / "src" / "gyrokit" / "tables" / "g8.json").read_text())["table"])
     paths = []
     for k in CORRUPT_FACTORS:
-        i = np.arange(8 * k)
-        product = g8[i[:, None] // k, i // k] * k + (i[:, None] + i) % k
         n, r = 8 * k, 8 * k - 3
+        base = product_table(k)
         for kind in CORRUPTIONS:
-            T = product.copy()
+            T = base.copy()
             if kind == "row-swapped":
                 T[r, [0, n - 1]] = T[r, [n - 1, 0]]
             elif kind == "cell-overwritten":
@@ -131,6 +140,27 @@ def corrupted_tables(tmp: Path) -> list[str]:
             path.write_text(json.dumps({"order": n, "table": T.tolist()}))
             paths.append(str(path))
     return paths
+
+
+def relabeled_tables(tmp: Path) -> list[tuple[str, str, str]]:
+    """For k in ``CORRUPT_FACTORS``: the path of g8 x Z_k relabeled by the
+    permutation p of its indices, 0 kept and the rest drawn with seed k,
+    written to ``tmp``, with the relabeled subgroups S2 x {0} and S4 x Z_k
+    as subsets."""
+    out = []
+    for k in CORRUPT_FACTORS:
+        n = 8 * k
+        rest = np.random.default_rng(k).permutation(n - 1)
+        p = np.concatenate([[0], 1 + rest])
+        q = np.argsort(p)
+        path = tmp / f"g8xz{k}-relabeled.json"
+        path.write_text(json.dumps(
+            {"order": n, "table": p[product_table(k)[q][:, q]].tolist()}))
+        s2 = p[[0, k]]
+        s4 = p[[k * a + b for a in (0, 1, 4, 5) for b in range(k)]]
+        out.append((str(path), *(",".join(map(str, sorted(s.tolist())))
+                                 for s in (s2, s4))))
+    return out
 
 
 def call_list(tmp: Path) -> list[list[str]]:
@@ -164,6 +194,10 @@ def call_list(tmp: Path) -> list[list[str]]:
         calls += [["check", *model], ["identities", *model],
                   ["cosets", *model, "--subset", "0,1"],
                   ["hull", *model, "--subset", "0,1"]]
+    for path, s2, s4 in relabeled_tables(tmp):
+        model = ["--model", f"table:{path}"]
+        calls += [["check", *model], ["cosets", *model, "--subset", s2],
+                  ["hull", *model, "--subset", s4]]
     return [argv for argv in calls if depth_of(argv) <= 62
             and (argv[0] != "metric" or depth_of(argv) <= 20)]
 
