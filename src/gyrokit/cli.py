@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import (AxiomReport, ChainError, CheckResult, SampleSpec,
                    TableError, check_axioms, check_identities)
-from .cosets import homogeneity_translate, is_L_subgyrogroup, is_subgyrogroup, left_cosets
+from .cosets import (homogeneity_check, is_L_subgyrogroup, is_subgyrogroup,
+                     left_cosets)
 from .models import EinsteinModel, MobiusModel, table_load
 from .prenorm import (admissible_hull, admissible_intersection,
                       admissible_quotient_inclusion_check, build_dyadic_family,
@@ -120,32 +121,15 @@ def cmd_cosets(args) -> AxiomReport:
     rep = AxiomReport(
         [CheckResult.exact("subgyrogroup", len(H) ** 2, witness)])
     if ok:
-        okl, wl = is_L_subgyrogroup(model, H)
+        ok, wl = is_L_subgyrogroup(model, H)
         rep.results.append(
             CheckResult.exact("l-subgyrogroup", model.n * len(H), wl))
-    else:
-        okl = False
-    if okl:
+    if ok:
         part = left_cosets(model, H)
         rep.records.append({"check": "partition", "verdict": "pass",
                             "samples": model.n, "residual": 0.0,
                             "cosets": [list(c) for c in part.cosets]})
-        # at[a, x] is the coset of a + x; h_a is read off each coset's
-        # least member, and is split where another member disagrees
-        at = part.index_of[model.table]
-        img = at[:, part.representatives]
-        split = np.any(at != img[:, part.index_of], axis=1)
-        img.sort(axis=1)
-        first = np.flatnonzero(
-            split | np.any(img != np.arange(len(part.cosets)), axis=1))
-        bad = None
-        if first.size:
-            a = int(first[0])
-            for i in range(len(part.cosets)):
-                homogeneity_translate(part, a, i)  # raises where h_a is split
-            bad = {"elements": [a], "images": img[a].tolist()}
-        rep.results.append(CheckResult.exact(
-            "homogeneity-bijection", model.n * len(part.cosets), bad))
+        rep.results.append(homogeneity_check(part))
     return rep
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CosetError, GyroModel, SampleSpec, first_hit
+from .core import CheckResult, CosetError, GyroModel, SampleSpec, first_hit
 from .models import FiniteTable
 from .sets import FiniteSet, member_masks
 
@@ -27,14 +27,13 @@ __all__ = [
     "left_cosets",
     "CosetPartition",
     "same_coset",
+    "homogeneity_check",
     "homogeneity_translate",
 ]
 
 
 def _as_finite_set(model, H) -> FiniteSet:
-    if isinstance(H, FiniteSet):
-        return H
-    return FiniteSet(model.n, indices=H)
+    return H if isinstance(H, FiniteSet) else FiniteSet(model.n, indices=H)
 
 
 def is_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
@@ -86,13 +85,8 @@ def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
         raise CosetError(f"H is not a subgyrogroup: {witness}")
     if model.is_finite:
         H = _as_finite_set(model, H)
-        idx = H.index_array()
-        img = model.P[model.gid[:, idx][:, :, None], idx]
-        hit = first_hit(~H.members()[img].all(-1))
-        if hit:
-            return False, {"kind": "gyration",
-                           "elements": [hit[0], int(idx[hit[1]])]}
-        return True, None
+        hit = model.leaving_pair(H.members(), range(model.n), H.index_array())
+        return hit is None, hit and {"kind": "gyration", "elements": list(hit)}
 
     rng = np.random.default_rng(spec.seed + 1)
     azs = model.sample(rng, spec.count)
@@ -181,6 +175,17 @@ def same_coset(model: GyroModel, H, a, b, slack: float | None = None) -> bool:
     if model.is_finite:
         return int(diff) in _as_finite_set(model, H)
     return H.contains(model, diff, slack if slack is not None else model.eps)
+
+
+def homogeneity_check(partition: CosetPartition) -> CheckResult:
+    """Whether each coset translation h_a of a ``left_cosets`` partition is
+    a well-defined bijection: as a + (r + h) = (a + r) + gyr[a, r](h), when
+    no gyr[a, r], r a representative, carries H out of H (a + . bijects)."""
+    model, reps = partition.model, partition.representatives
+    hit = model.leaving_pair(partition.H.members(), range(model.n), reps)
+    if hit:  # a + x leaves (a + r) + H for an x in r + H: this raises
+        homogeneity_translate(partition, hit[0], partition.project(hit[1]))
+    return CheckResult.exact("homogeneity-bijection", model.n * len(reps))
 
 
 def homogeneity_translate(partition: CosetPartition, a: int, coset: int) -> int:

@@ -4,8 +4,7 @@
   under Einstein velocity addition.
 * ``MobiusModel`` -- the open unit disk in the complex plane under
   Moebius addition (a + b) / (1 + conj(a) b).
-* ``FiniteTable`` -- an explicit Cayley table, exhaustively validated
-  against the gyrogroup axioms on load.
+* ``FiniteTable`` -- a Cayley table, validated as a gyrogroup on load.
 
 ``radial_add`` is the one-dimensional restriction shared by both ball
 models; it drives the exact ball-set arithmetic of the prenorm module.
@@ -309,21 +308,18 @@ class MobiusModel(GyroModel):
 class FiniteTable(GyroModel):
     """A finite gyrogroup given by an explicit Cayley table of indices.
 
-    The identity is always index 0.  Construction runs ``check_axioms``
-    over all n^3 triples and rejects any table that is not a gyrogroup, so
-    every live instance is a validated model.  Labels are cosmetic.
-
-    Each distinct gyration is stored once: ``P`` is the k x n array of the
-    distinct permutations z -> gyr[a, b](z), in the smallest unsigned
-    dtype, and gyr[a, b](z) = P[gid[a, b], z] with the n x n ids ``gid``.
-    Both are built by the formula -(a + b) + (a + (b + z)), by table
-    lookups one slab of first indices at a time: this n^3 build is the
-    load's main cost, and no n^3 array exists.  ``check_axioms`` relies on
-    it and validates a gyrogroup with tests of O(k n^2) cost, sweeping the
-    n^3 triples only to find the witnesses of a table it rejects.  Public
-    methods check carrier membership; the finite algorithms, the load-time
-    ``check_axioms`` among them, index ``table``, ``inverses``, ``P`` and
-    ``gid`` directly, and the gyration tests run over the k rows of ``P``.
+    The identity is always index 0.  Labels are cosmetic.  Each distinct
+    gyration is stored once: ``P`` is the k x n array of the distinct
+    permutations z -> gyr[a, b](z), in the smallest unsigned dtype, and
+    gyr[a, b](z) = P[gid[a, b], z] with the n x n ids ``gid``.  Both are
+    built by the formula -(a + b) + (a + (b + z)) one slab of first
+    indices at a time: these n^3 lookups are the load's main cost, and no
+    n^3 array exists.  On them ``check_axioms`` validates a gyrogroup by
+    tests of O(k n^2) cost, and construction rejects any table that fails,
+    so every live instance is a validated model.  Public methods check
+    carrier membership; the finite algorithms index ``table`` and
+    ``inverses`` directly.  Only this class and that validation read ``P``
+    and ``gid``: every gyration test runs once per row of ``P``.
     """
 
     is_finite = True
@@ -464,6 +460,14 @@ class FiniteTable(GyroModel):
         hit = first_hit(bad.any(axis=1)[self.gid])
         return hit and hit + [int(np.argmax(bad[self.gid[tuple(hit)]]))]
 
+    def leaving_pair(self, members, rows, cols):
+        """The first (a, b), a in ``rows`` and b in ``cols`` row-major, whose
+        gyration carries a member of the set ``members`` (a membership row)
+        out of it, or None: each row of ``P`` is tested once."""
+        out = ~members[self.P[:, np.flatnonzero(members)]].all(axis=1)
+        hit = first_hit(out[self.gid[np.ix_(rows, cols)]])
+        return hit and (int(rows[hit[0]]), int(cols[hit[1]]))
+
     def to_dict(self) -> dict:
         return {"order": self.n, "labels": self.labels,
                 "table": self.table.tolist()}
@@ -511,7 +515,7 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
         raise TableError("table must be square")
     if n and not (min(map(min, table)) >= 0 and max(map(max, table)) < n):
         raise TableError("table entries must be indices in 0..n-1")
-    # identity-at-0 is enforced by the exhaustive axiom run inside FiniteTable
+    # identity-at-0 is enforced by the axiom validation inside FiniteTable
     return FiniteTable(table, labels=labels,
                        name=name or doc.get("name", "table"), validate=validate)
 

@@ -46,12 +46,12 @@ from typing import IO
 
 import numpy as np
 
-from .core import (ROWS, AxiomReport, ChainError, CheckResult, GyroModel,
-                   SampleSpec, _mapped, _merged, _verdict, first_hit,
-                   read_json)
+from .core import (ROWS, AxiomReport, CarrierError, ChainError, CheckResult,
+                   GyroModel, SampleSpec, _mapped, _merged, _verdict,
+                   first_hit, read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
-from .sets import FiniteSet, OriginSet, RadialBall, member_masks, oplus_rows
+from .sets import FiniteSet, OriginSet, RadialBall, oplus_rows
 
 __all__ = [
     "DyadicChain",
@@ -289,7 +289,7 @@ class DyadicFamily:
     def prenorm(self, x):
         """N(x): exact Fraction (finite) or float (radial)."""
         if self.chain.kind == "finite":
-            return Fraction(int(self._num[int(x)]), self.scale)
+            return Fraction(int(_at(self._num, x)), self.scale)
         return self.prenorm_batch(x)
 
     def prenorm_batch(self, xs):
@@ -345,6 +345,13 @@ def build_dyadic_family(model: GyroModel, chain: DyadicChain,
     return DyadicFamily(model, chain, depth, report)
 
 
+def _at(values, i):
+    """values[i]; ``CarrierError`` for i outside 0 ... len(values) - 1."""
+    if not 0 <= int(i) < len(values):
+        raise CarrierError("index out of range")
+    return values[int(i)]
+
+
 def rho_N(family: DyadicFamily, x, y):
     """The two-sided gyro-distance N(-x + y) + N(-y + x)."""
     m = family.model
@@ -364,7 +371,7 @@ def ball(family: DyadicFamily, x, eps) -> FiniteSet:
     # numerators against eps 2^levels: exact for a float eps too, as a
     # power of two scales it without rounding
     num = family._num.astype(np.int64)
-    return FiniteSet.of(np.abs(num - num[int(x)]) < eps * family.scale)
+    return FiniteSet.of(np.abs(num - _at(num, x)) < eps * family.scale)
 
 
 def rho_ball(family: DyadicFamily, x, eps) -> FiniteSet:
@@ -377,13 +384,13 @@ def rho_ball(family: DyadicFamily, x, eps) -> FiniteSet:
     """
     if family.chain.kind != "finite":
         raise ChainError("explicit balls exist for finite models only")
-    return FiniteSet.of(family._rho[int(x)] < eps * family.scale)
+    return FiniteSet.of(_at(family._rho, x) < eps * family.scale)
 
 
 def quotient_ball(family: DyadicFamily, partition: CosetPartition,
                   coset: int, eps) -> list[int]:
     """{coset' : varrho(coset', coset) < eps} in the coset space."""
-    row = _quotient_nums(family, partition)[coset]
+    row = _at(_quotient_nums(family, partition), coset)
     return np.flatnonzero(row < eps * family.scale).tolist()
 
 
@@ -695,14 +702,14 @@ def micro_assoc_check(model: GyroModel, W, V,
     if model.is_finite:
         if not (W <= V):
             raise ValueError("W must be contained in V")
-        T, w, v = model.table, W.index_array(), V.index_array()
-        lhs = member_masks(T[w[:, None, None], T[w[:, None], v]], model.n)
-        rhs = member_masks(T[T[np.ix_(w, w)][:, :, None], v], model.n)
-        hit = first_hit(np.any(lhs != rhs, axis=-1))
+        # a + (b + V) = (a + b) + gyr[a, b](V), and left translations are
+        # bijections: the sides agree exactly when gyr[a, b] keeps V
+        w = W.index_array()
+        hit = model.leaving_pair(V.members(), w, w)
         if hit:
-            i, j = hit
-            hit = {"elements": w[hit].tolist(), "difference":
-                   np.flatnonzero(lhs[i, j] ^ rhs[i, j]).tolist()}
+            (a, b), T, v = hit, model.table, V.index_array()
+            hit = {"elements": [a, b], "difference":
+                   np.setxor1d(T[a, T[b, v]], T[T[a, b], v]).tolist()}
         return CheckResult.exact("micro-associativity", len(W) ** 2, hit)
 
     if not (isinstance(W, RadialBall) and isinstance(V, RadialBall)):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
-                     RadialBall, radial_add, table_load)
+from gyrokit import (CosetPartition, EinsteinModel, FiniteSet, FiniteTable,
+                     MobiusModel, RadialBall, homogeneity_translate,
+                     radial_add, table_load)
 from gyrokit.core import CheckResult, _drawn, first_hit
-from gyrokit.sets import oplus_rows
+from gyrokit.sets import member_masks, oplus_rows
 
 
 def triples(model, spec):
@@ -69,20 +70,20 @@ def mobius():
 
 
 def brute_subgyrogroups(model):
-    """All subgyrogroups, found with no library help beyond op/inv."""
+    """All subgyrogroups, found with no library help beyond op/inv, by size
+    and then members: every union of 0 and inverse pairs {x, -x} that is
+    closed under op, which is every subset closed under both."""
     n = model.n
     op = [[int(model.op(x, y)) for y in range(n)] for x in range(n)]
     inv = [int(model.inv(x)) for x in range(n)]
+    pairs = sorted({tuple(sorted({x, inv[x]})) for x in range(1, n)})
     out = []
-    for r in range(n):
-        for extra in itertools.combinations(range(1, n), r):
-            s = set((0,) + extra)
-            if any(inv[x] not in s for x in s):
-                continue
-            if any(op[x][y] not in s for x in s for y in s):
-                continue
-            out.append(tuple(sorted(s)))
-    return out
+    for r in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, r):
+            s = {0}.union(*chosen)
+            if all(op[x][y] in s for x in s for y in s):
+                out.append(tuple(sorted(s)))
+    return sorted(out, key=lambda s: (len(s), s))
 
 
 def brute_gyr(model, a, b, z):
@@ -120,6 +121,69 @@ def brute_l_subgyrogroups(model):
                for a in range(model.n) for h in s):
             out.append(sub)
     return out
+
+
+def hand_built_partition(model, hidx, classes):
+    """A ``CosetPartition`` of ``model`` into ``classes``, taken as the
+    cosets of H = ``hidx`` unchecked, as ``left_cosets`` would not."""
+    index_of = np.zeros(model.n, dtype=np.int64)
+    for i, c in enumerate(classes):
+        index_of[list(c)] = i
+    return CosetPartition(model, FiniteSet(model.n, indices=hidx),
+                          list(classes), index_of)
+
+
+# The finite gyration tests as they were before each became a read of
+# ``FiniteTable.leaving_pair``: per-pair cubes, kept as the oracles of the
+# one test over the rows of ``P``.
+
+def cube_l_subgyrogroup(model, H):
+    """``is_L_subgyrogroup`` on a finite table from the n x |H| x |H|
+    gather of the images gyr[a, h](x): the first (a, h), row-major, with an
+    image outside H."""
+    idx = H.index_array()
+    img = model.P[model.gid[:, idx][:, :, None], idx]
+    hit = first_hit(~H.members()[img].all(-1))
+    if hit:
+        return False, {"kind": "gyration",
+                       "elements": [hit[0], int(idx[hit[1]])]}
+    return True, None
+
+
+def cube_micro_assoc(model, W, V):
+    """Finite ``micro_assoc_check`` from both sides a + (b + V) and
+    (a + b) + V as |W| x |W| x n membership cubes, gathered through the
+    |W| x |W| x |V| index cube."""
+    T, w, v = model.table, W.index_array(), V.index_array()
+    lhs = member_masks(T[w[:, None, None], T[w[:, None], v]], model.n)
+    rhs = member_masks(T[T[np.ix_(w, w)][:, :, None], v], model.n)
+    hit = first_hit(np.any(lhs != rhs, axis=-1))
+    if hit:
+        i, j = hit
+        hit = {"elements": w[hit].tolist(), "difference":
+               np.flatnonzero(lhs[i, j] ^ rhs[i, j]).tolist()}
+    return CheckResult.exact("micro-associativity", len(W) ** 2, hit)
+
+
+def table_homogeneity(part):
+    """The ``cosets`` command's homogeneity-bijection check from the n x n
+    table of the cosets of a + x: h_a is read off each coset's least
+    member, and is split where another member disagrees."""
+    model = part.model
+    at = part.index_of[model.table]
+    img = at[:, part.representatives]
+    split = np.any(at != img[:, part.index_of], axis=1)
+    img.sort(axis=1)
+    first = np.flatnonzero(
+        split | np.any(img != np.arange(len(part.cosets)), axis=1))
+    bad = None
+    if first.size:
+        a = int(first[0])
+        for i in range(len(part.cosets)):
+            homogeneity_translate(part, a, i)  # raises where h_a is split
+        bad = {"elements": [a], "images": img[a].tolist()}
+    return CheckResult.exact(
+        "homogeneity-bijection", model.n * len(part.cosets), bad)
 
 
 class FullDyadicFamily:

@@ -9,9 +9,10 @@ import pytest
 import gyrokit
 from gyrokit import (EinsteinModel, SampleSpec, check_axioms,
                      check_identities)
+from gyrokit import cli
 from gyrokit.cli import build_parser, main
 
-from conftest import bundled_table_path, load_bundled
+from conftest import bundled_table_path, hand_built_partition, load_bundled
 
 Z4 = f"table:{bundled_table_path('z4')}"
 G8 = f"table:{bundled_table_path('g8')}"
@@ -106,6 +107,20 @@ class TestCosets:
 
     def test_continuous_rejected(self):
         assert main(["cosets", "--model", "einstein", "--subset", "axis:x"]) == 2
+
+    def test_representative_dependent_translation_exits_two(self, monkeypatch,
+                                                            capsys):
+        # no L-subgyrogroup's partition reaches this refusal: g8's {0, 3},
+        # whose gyr[2, 1] leaves it, is let through with hand-built classes
+        monkeypatch.setattr(cli, "is_L_subgyrogroup",
+                            lambda model, H: (True, None))
+        monkeypatch.setattr(cli, "left_cosets", lambda model, H:
+                            hand_built_partition(model, H.indices(), [
+                                (0, 3), (1, 2), (4, 7), (5, 6)]))
+        assert main(["cosets", "--model", G8, "--subset", "0,3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: h_a is representative-dependent at a=2, coset=1: "
+            "images [0, 2]\n")
 
 
 class TestMetric:

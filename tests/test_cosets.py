@@ -5,9 +5,11 @@ from gyrokit import (CosetError, EinsteinModel, FiniteSet, FiniteTable,
                      MobiusModel, SampleSpec, homogeneity_translate,
                      is_L_subgyrogroup, is_subgyrogroup, left_cosets,
                      parse_subset, same_coset)
+from gyrokit.cosets import homogeneity_check
 from gyrokit.sets import AxisSet, OriginSet, RadialBall
 
-from conftest import brute_l_subgyrogroups, brute_subgyrogroups, set_of_bits
+from conftest import (brute_l_subgyrogroups, brute_subgyrogroups,
+                      hand_built_partition, set_of_bits)
 
 
 class TestSubgyrogroupDetection:
@@ -20,6 +22,10 @@ class TestSubgyrogroupDetection:
         assert not ok
         assert witness["kind"] == "closure"
         assert witness["elements"] == [1, 1] and witness["product"] == 2
+
+    def test_missing_identity(self, z4):
+        assert is_subgyrogroup(z4, FiniteSet(4, indices=[1, 3])) == (
+            False, {"kind": "missing-identity"})
 
     def test_empty_raises(self, z4):
         with pytest.raises(CosetError):
@@ -218,6 +224,32 @@ class TestHomogeneity:
                         part, int(a), part.project(x)) == part.project(y)
 
 
+class TestRepresentativeDependence:
+    # an L-subgyrogroup's partition never makes h_a depend on the
+    # representative (the 8, 27 and 16 L-subgyrogroups of g8, g8 x Z_2 and
+    # g8 x Z_3 are all gyration-invariant), so the refusals are pinned on
+    # hand-built partitions
+    def test_translate_refuses(self, z4):
+        # 1 + {0, 1} = {1, 2} meets both classes
+        part = hand_built_partition(z4, [0, 2], [(0, 1), (2, 3)])
+        with pytest.raises(CosetError) as err:
+            homogeneity_translate(part, 1, 0)
+        assert str(err.value) == ("h_a is representative-dependent at a=1, "
+                                  "coset=0: images [0, 1]")
+
+    def test_check_refuses_where_a_gyration_leaves_H(self, g8):
+        # H = {0, 3} is no L-subgyrogroup: gyr[2, 1] carries 3 to 7, and
+        # 2 + {1, 2} = {3, 4} meets two classes
+        part = hand_built_partition(g8, [0, 3],
+                                    [(0, 3), (1, 2), (4, 7), (5, 6)])
+        assert g8.leaving_pair(part.H.members(), range(8),
+                               part.representatives) == (2, 1)
+        with pytest.raises(CosetError) as err:
+            homogeneity_check(part)
+        assert str(err.value) == ("h_a is representative-dependent at a=2, "
+                                  "coset=1: images [0, 2]")
+
+
 class TestSubsetParsing:
     def test_finite(self, z4):
         assert parse_subset(z4, "0,2").indices() == (0, 2)
@@ -229,3 +261,9 @@ class TestSubsetParsing:
             parse_subset(einstein, "ball:1.5")
         with pytest.raises(ValueError):
             parse_subset(einstein, "nonsense")
+
+    def test_origin_and_unknown_axis(self, einstein, mobius):
+        assert parse_subset(einstein, "origin") == OriginSet()
+        assert parse_subset(mobius, " origin ") == OriginSet()
+        with pytest.raises(ValueError, match="^unknown axis 'w'$"):
+            parse_subset(einstein, "axis:w")

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      RadialBall, check_axioms, check_identities, cyclic_table,
-                     is_L_subgyrogroup, micro_assoc_check)
+                     is_L_subgyrogroup, left_cosets, micro_assoc_check)
 from gyrokit import core
 from gyrokit.cli import main
+from gyrokit.cosets import homogeneity_check
 from gyrokit.core import (CHUNK, ROWS, AxiomReport, CarrierError, CheckResult,
                           SampleSpec, TableError, _axiom_checks, _drawn,
                           _finite_axiom_checks, _finite_axioms_hold,
@@ -29,8 +30,9 @@ from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
 from gyrokit.sets import member_masks, oplus_rows
 
 from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path, full_gyrations, load_bundled,
-                      plant_gyration, set_of_bits, triples)
+                      bundled_table_path, cube_l_subgyrogroup,
+                      cube_micro_assoc, full_gyrations, load_bundled,
+                      plant_gyration, set_of_bits, table_homogeneity, triples)
 
 
 def test_tensor_matches_brute_gyr(g8):
@@ -1225,3 +1227,111 @@ def test_is_group_slabbed_and_below_cube(g8, kind):
     assert verdict == bool(np.all(model.P[model.gid] == np.arange(model.n)))
     assert verdict == (kind == "cyclic")
     assert peak < model.n ** 3 // 8
+
+
+# is_L_subgyrogroup, finite micro_assoc_check and the cosets command's
+# homogeneity-bijection are reads of FiniteTable.leaving_pair, which tests
+# each row of P once; the per-pair cubes they replace are the oracles.
+
+def relabeled(g8, k, seed):
+    """g8 x Z_k and the map p of its indices, with p the identity for seed
+    None, else 0 kept and the rest permuted with ``seed``; the relabeled
+    table sends (p[x], p[y]) to p[x + y]."""
+    n = 8 * k
+    if seed is None:
+        return FiniteTable(product_table(g8, k)), np.arange(n)
+    rest = 1 + np.random.default_rng(seed).permutation(n - 1)
+    p = np.concatenate([[0], rest])
+    q = np.argsort(p)
+    return FiniteTable(p[product_table(g8, k)[q][:, q]]), p
+
+
+@pytest.mark.parametrize("seed", [None, 4, 9])
+@pytest.mark.parametrize("k,subs,lsubs", [(1, 10, 8), (2, 35, 27),
+                                          (3, 20, 16)])
+def test_l_subgyrogroups_and_homogeneity_match_cube_oracles(g8, k, subs,
+                                                            lsubs, seed):
+    found = brute_subgyrogroups(product_model(k))
+    assert len(found) == subs
+    model, p = relabeled(g8, k, seed)
+    verdicts = []
+    for sub in found:
+        H = FiniteSet(model.n, indices=p[list(sub)])
+        got = is_L_subgyrogroup(model, H)
+        assert got == cube_l_subgyrogroup(model, H)
+        verdicts.append(got[0])
+        if got[0]:
+            part = left_cosets(model, H)
+            assert homogeneity_check(part) == table_homogeneity(part)
+            assert homogeneity_check(part).passed
+    assert sum(verdicts) == lsubs
+
+
+def test_micro_assoc_matches_cube_oracle_on_every_g8_pair(g8):
+    # every W <= V of g8 subsets holding 0, {0, 1, 3} among the V that
+    # no gyration keeps
+    failed = set()
+    for vbits in range(1, 2 ** 8, 2):
+        V = set_of_bits(8, vbits)
+        for wbits in range(1, 2 ** 8, 2):
+            if wbits & ~vbits:
+                continue
+            W = set_of_bits(8, wbits)
+            got = micro_assoc_check(g8, W, V)
+            assert got == cube_micro_assoc(g8, W, V)
+            if not got.passed:
+                failed.add(V.indices())
+    assert (0, 1, 3) in failed
+    assert all(FiniteSet(8, indices=v).gyr_invariance_witness(g8)
+               for v in failed)
+
+
+@pytest.mark.parametrize("seed", [None, 6])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_micro_assoc_matches_cube_oracle_on_lifts(g8, k, seed):
+    # W = V = S4 x Z_k, W = S2 x {0} in V = S4 x Z_k, and W = V =
+    # {0, 1, 3} x Z_k, which fails
+    model, p = relabeled(g8, k, seed)
+    s2, s4, v013 = (FiniteSet(model.n, indices=p[lift(k, S, Z)]) for S, Z in (
+        ([0, 1], [0]), ([0, 1, 4, 5], range(k)), ([0, 1, 3], range(k))))
+    for W, V, passed in ((s4, s4, True), (s2, s4, True),
+                         (v013, v013, False)):
+        got = micro_assoc_check(model, W, V)
+        assert got == cube_micro_assoc(model, W, V)
+        assert got.passed == passed
+
+
+def test_leaving_pair_reads_the_rows_of_p(g8xz2):
+    # the first (a, b), row-major over the grid given, whose gyration
+    # carries a member out; a planted row is read through gid
+    model = FiniteTable(g8xz2.table)
+    H = FiniteSet(16, indices=range(4))
+    rows, cols = np.arange(16), H.index_array()
+    assert model.leaving_pair(H.members(), rows, cols) is None
+    row = model.gyr_table(5, 3)
+    row[1] = 4
+    plant_gyration(model, 5, 3, row)
+    assert model.leaving_pair(H.members(), rows, cols) == (5, 3)
+    assert model.leaving_pair(H.members(), rows[6:], cols) is None
+    assert model.leaving_pair(H.members(), [7, 5], [3, 0]) == (5, 3)
+    assert model.leaving_pair(np.zeros(16, dtype=bool), rows, cols) is None
+
+
+@pytest.mark.parametrize("stage", ["cosets", "microassoc"])
+def test_coset_and_micro_assoc_peaks_below_a_quarter_cube(g8, stage):
+    # g8 x Z_32 (n = 256), H = S4 x Z_32: the L-subgyrogroup test with the
+    # partition, and micro-associativity with W = V = H, hold no cube of
+    # pairs; tracemalloc's peak stays below n^3 / 4
+    model = FiniteTable(product_table(g8, 32))
+    H = FiniteSet(256, indices=lift(32, [0, 1, 4, 5], range(32)))
+    tracemalloc.start()
+    try:
+        if stage == "cosets":
+            assert is_L_subgyrogroup(model, H) == (True, None)
+            assert len(left_cosets(model, H).cosets) == 2
+        else:
+            assert micro_assoc_check(model, H, H).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n ** 3 // 4

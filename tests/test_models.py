@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gyrokit import (CarrierError, EinsteinModel, TableError, cyclic_table,
-                     radial_add, radial_half, radial_third, table_load)
+from gyrokit import (CarrierError, EinsteinModel, FiniteTable, TableError,
+                     cyclic_table, radial_add, radial_half, radial_third,
+                     table_load)
 from gyrokit.core import SampleSpec
 
 from conftest import bundled_table_path, triples
@@ -313,6 +314,17 @@ class TestFiniteTable:
             table_load({"table": [[0, 1], [1, 0]], "labels": ["a", "a"]})
         with pytest.raises(TableError):
             table_load('{"table": [[0, NaN], [1, 0]]}')
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 1, 2], [1, 2, 0]], "table must be square"),
+        (np.zeros((0, 0), dtype=np.int64), "table must be nonempty"),
+        ([[0, 1], [1, 2]], "table entries must be indices in 0..n-1"),
+    ])
+    def test_direct_refusals(self, table, message):
+        # FiniteTable itself, not through table_load
+        with pytest.raises(TableError) as err:
+            FiniteTable(table)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("bad", [True, 1.5, "3", [1], None])
     def test_first_bad_entry_is_named(self, bad):

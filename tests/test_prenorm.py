@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gyrokit import (ChainError, DyadicChain, FiniteSet, OriginSet, RadialBall,
-                     SampleSpec, admissible_hull, admissible_intersection,
+from gyrokit import (AxisSet, CarrierError, ChainError, DyadicChain,
+                     FiniteSet, OriginSet, RadialBall, SampleSpec,
+                     admissible_hull, admissible_intersection,
                      admissible_quotient_inclusion_check, ball,
                      build_dyadic_family, chain_load, coset_invariant_N_check,
                      cyclic_table, is_L_subgyrogroup, left_cosets, metric_d,
@@ -332,6 +333,20 @@ class TestPrenorm:
         assert (r.name, r.passed, r.samples, r.witness) == (
             "prenorm-sandwich", False, 8, witness)
 
+    def test_radial_sandwich_witness(self, einstein):
+        # unvalidated radii 0.3, 0.8, 0.5: V(1/2) and V(3/4) are larger
+        # balls than V(1), so a point outside U_0 gets N(x) = 3/4 < 1
+        chain = DyadicChain([RadialBall(r) for r in (0.3, 0.8, 0.5)])
+        fam = DyadicFamily(einstein, chain, 2)
+        r = prenorm_laws_check(einstein, fam, SampleSpec(1000, seed=0))[-1]
+        assert (r.name, r.passed, r.samples, r.max_residual) == (
+            "prenorm-sandwich", False, 3000, 1.0)
+        w = r.witness
+        assert (w["index"], w["n"]) == (0, 0.75)
+        [x] = np.array(w["elements"])
+        assert w["norm"] == float(einstein.norm(x)) >= 0.3
+        assert fam.prenorm(x) == 0.75
+
     def test_radial_outside_everything_is_one(self, einstein):
         fam = build_dyadic_family(einstein, halving_radial_chain(), depth=10)
         assert fam.prenorm(np.array([0.8, 0, 0])) == 1.0
@@ -424,6 +439,14 @@ class TestQuotient:
             fam = build_dyadic_family(g8, g8_chain(tail), depth=5)
             r = coset_invariant_N_check(g8, fam, FiniteSet(8, indices=tail))
             assert r.passed
+
+    def test_radial_coset_invariance(self, einstein):
+        # the tail of a radial chain is {0}: N(x + 0) = N(x) at 256 points
+        chain, tail = admissible_hull(einstein, RadialBall(0.8), depth=6)
+        fam = build_dyadic_family(einstein, chain, 6)
+        r = coset_invariant_N_check(einstein, fam, tail)
+        assert (r.name, r.passed, r.samples, r.max_residual, r.witness) == (
+            "coset-invariance", True, 256, 0.0, None)
 
     def test_quotient_metric_axioms_g8(self, g8):
         H = FiniteSet(8, indices=[0, 1])
@@ -629,6 +652,18 @@ class TestIntersection:
         with pytest.raises(ChainError, match="admissible"):
             admissible_intersection(z4, [z4_weak_chain()])
 
+    def test_refusals(self, z4, einstein):
+        radial, _ = admissible_hull(einstein, RadialBall(0.8), depth=3)
+        for chains, message in (
+                ([], "need at least one chain"),
+                ([z4_adm_chain(), z4_weak_chain()],
+                 "all chains must be admissible"),
+                ([z4_adm_chain(), radial],
+                 "cannot mix finite and radial chains")):
+            with pytest.raises(ChainError) as err:
+                admissible_intersection(z4, chains)
+            assert str(err.value) == message
+
     def test_radial_intersection(self, einstein):
         a, _ = admissible_hull(einstein, RadialBall(0.8), depth=6)
         b, _ = admissible_hull(einstein, RadialBall(0.5), depth=6)
@@ -684,6 +719,14 @@ class TestMicroAssociativity:
         with pytest.raises(ValueError, match="contained"):
             micro_assoc_check(g8, FiniteSet(8, indices=range(8)),
                               FiniteSet(8, indices=[0, 1]))
+
+    def test_radial_refusals(self, einstein):
+        with pytest.raises(ValueError, match="^W must be contained in V$"):
+            micro_assoc_check(einstein, RadialBall(0.5), RadialBall(0.3))
+        with pytest.raises(ValueError) as err:
+            micro_assoc_check(einstein, AxisSet(0), RadialBall(0.3))
+        assert str(err.value) == ("continuous micro-associativity supports "
+                                  "radial balls only")
 
     def test_einstein_balls(self, einstein):
         r = micro_assoc_check(einstein, RadialBall(0.3), RadialBall(0.5),
@@ -799,3 +842,45 @@ class TestChainIO:
             chain_load(z4, {"flavor": "odd", "sets": [[0]]})
         with pytest.raises(ChainError, match="radii"):
             chain_load(einstein, {"flavor": "weak", "radii": [1.5]})
+        for model in (z4, einstein):
+            with pytest.raises(ChainError) as err:
+                chain_load(model, {"flavor": "weak"})
+            assert str(err.value) == ("chain document needs a 'sets' or "
+                                      "'radii' field")
+
+
+class TestOutOfRange:
+    # elements outside 0 ... n - 1, and cosets outside 0 ... k - 1, are
+    # refused as FiniteTable.op refuses them: never wrapped round, as -1
+    # read the last element before
+    @pytest.fixture
+    def family(self, g8):
+        chain = chain_load(g8, (GOLDEN / "chains" / "g8-adm.json").read_text())
+        return build_dyadic_family(g8, chain, depth=4)
+
+    def test_in_range_values(self, family):
+        assert family.prenorm(7) == 1
+        assert ball(family, 7, 0.5).indices() == (2, 3, 6, 7)
+        assert metric_d(family, 7, 0) == 1
+
+    @pytest.mark.parametrize("x", [-1, 8])
+    @pytest.mark.parametrize("query", [
+        lambda fam, x: fam.prenorm(x),
+        lambda fam, x: ball(fam, x, 0.5),
+        lambda fam, x: rho_ball(fam, x, 0.5),
+        lambda fam, x: metric_d(fam, x, 0),
+        lambda fam, x: metric_d(fam, 0, x),
+        lambda fam, x: rho_N(fam, x, 0),
+    ], ids=["prenorm", "ball", "rho_ball", "metric_d-x", "metric_d-y",
+            "rho_N"])
+    def test_elements(self, family, query, x):
+        with pytest.raises(CarrierError, match="^index out of range$"):
+            query(family, x)
+
+    def test_cosets(self, g8, family):
+        part = left_cosets(g8, family.tail)
+        k = len(part.cosets)
+        assert quotient_ball(family, part, k - 1, 0.5) == [k - 1]
+        for coset in (-1, k):
+            with pytest.raises(CarrierError, match="^index out of range$"):
+                quotient_ball(family, part, coset, 0.5)

@@ -18,11 +18,14 @@ admissible chain
     [G, S4 x Z_k, S2 x Z_k, S2 x {0}, {0}]
 
 with the g8 subgroups S4 and S2 of ``tests/golden/chains/g8-adm.json``.
+Last it times ``is_L_subgyrogroup`` and ``left_cosets`` of H = S4 x Z_k
+(``cosets``), and ``micro_assoc_check`` with W = V = H (``micro``).
 Each order runs in a fresh Python process, so that its peak resident
 memory (``getrusage``'s ``ru_maxrss``) is its own; the process's imports
 and the product table count towards it.  Prints the number k of
 distinct gyrations (2 for every g8 x Z_k), the seconds of each stage,
-the peak MiB per order, and whether the prenorm laws passed.
+the peak MiB per order, and whether the prenorm laws, the partition
+into two cosets and micro-associativity all passed.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -41,12 +44,14 @@ DEPTH = 10
 S4, S2 = [0, 1, 4, 5], [0, 1]  # the g8 sets of tests/golden/chains/g8-adm.json
 
 # run in a fresh process with argv[1] = k; prints {"n", "k", "load_s",
-# "orbits_s", "hull_s", "family_s", "laws_s", "peak_mib", "passed"}
+# "orbits_s", "hull_s", "family_s", "laws_s", "cosets_s", "micro_s",
+# "peak_mib", "passed"}
 CHILD = f"""
 import json, resource, sys, time
 import numpy as np
 from gyrokit import (FiniteSet, FiniteTable, admissible_hull,
-                     build_dyadic_family, chain_load, prenorm_laws_check)
+                     build_dyadic_family, chain_load, is_L_subgyrogroup,
+                     left_cosets, micro_assoc_check, prenorm_laws_check)
 from gyrokit.models import table_load
 import importlib.resources
 
@@ -78,7 +83,12 @@ chain = chain_load(model, {{"flavor": "admissible", "sets": [
 family = timed("family", lambda: build_dyadic_family(model, chain,
                                                      depth={DEPTH}))
 laws = timed("laws", lambda: prenorm_laws_check(model, family))
-out["passed"] = family.report.passed and all(r.passed for r in laws)
+H = FiniteSet(8 * k, indices=lift({S4}, range(k)))
+ok = timed("cosets", lambda: is_L_subgyrogroup(model, H)[0]
+           and len(left_cosets(model, H).cosets) == 2)
+micro = timed("micro", lambda: micro_assoc_check(model, H, H))
+out["passed"] = (family.report.passed and all(r.passed for r in laws)
+                 and ok and micro.passed)
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
@@ -94,7 +104,7 @@ def load(k: int) -> dict:
 
 def main(argv: list[str]) -> int:
     factors = [int(a) for a in argv] or FACTORS
-    cols = ["load", "orbits", "hull", "family", "laws"]
+    cols = ["load", "orbits", "hull", "family", "laws", "cosets", "micro"]
     print(f"{'table':<10}{'n':>6}{'k':>6}"
           + "".join(f"{c + ' s':>10}" for c in cols)
           + f"{'peak MiB':>11}{'passed':>8}")

@@ -27,9 +27,11 @@ The calls are:
   tables of order up to 64: ``check`` and ``identities`` sweep them
   unvalidated, ``cosets`` and ``hull`` refuse them at load with exit 2
   and a message that names the defect;
-- ``check``, ``cosets`` and ``hull`` on the same g8 x Z_k relabeled by a
-  seeded permutation that keeps 0 at 0: valid tables in new index
-  orders, with the relabeled subgroups S2 x {0} and S4 x Z_k.
+- ``check``, ``cosets``, ``hull`` and ``microassoc`` on the same g8 x Z_k,
+  valid, as it is and relabeled by a seeded permutation that keeps 0 at
+  0, with the (relabeled) subgroups S2 x {0} and S4 x Z_k as subsets:
+  ``microassoc`` with W = V = S4 x Z_k, with W = S2 x {0} in it, and with
+  W = V = {0, 1, 3} x Z_k, which is not gyration-invariant and fails.
 
 Each table is written once to a temporary directory that both trees read,
 as its path is in the ``_config`` record.
@@ -142,24 +144,27 @@ def corrupted_tables(tmp: Path) -> list[str]:
     return paths
 
 
-def relabeled_tables(tmp: Path) -> list[tuple[str, str, str]]:
-    """For k in ``CORRUPT_FACTORS``: the path of g8 x Z_k relabeled by the
-    permutation p of its indices, 0 kept and the rest drawn with seed k,
-    written to ``tmp``, with the relabeled subgroups S2 x {0} and S4 x Z_k
-    as subsets."""
+def product_tables(tmp: Path) -> list[tuple[str, ...]]:
+    """For k in ``CORRUPT_FACTORS``: the paths of g8 x Z_k as it is and
+    relabeled by the permutation p of its indices, 0 kept and the rest
+    drawn with seed k, written to ``tmp``, each with its subgroups
+    S2 x {0} and S4 x Z_k and the lift {0, 1, 3} x Z_k of the g8 set
+    that is not gyration-invariant, relabeled alike, as subsets."""
     out = []
     for k in CORRUPT_FACTORS:
         n = 8 * k
-        rest = np.random.default_rng(k).permutation(n - 1)
-        p = np.concatenate([[0], 1 + rest])
-        q = np.argsort(p)
-        path = tmp / f"g8xz{k}-relabeled.json"
-        path.write_text(json.dumps(
-            {"order": n, "table": p[product_table(k)[q][:, q]].tolist()}))
-        s2 = p[[0, k]]
-        s4 = p[[k * a + b for a in (0, 1, 4, 5) for b in range(k)]]
-        out.append((str(path), *(",".join(map(str, sorted(s.tolist())))
-                                 for s in (s2, s4))))
+        rest = 1 + np.random.default_rng(k).permutation(n - 1)
+        for name, p in ((f"g8xz{k}", np.arange(n)),
+                        (f"g8xz{k}-relabeled", np.concatenate([[0], rest]))):
+            q = np.argsort(p)
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps(
+                {"order": n, "table": p[product_table(k)[q][:, q]].tolist()}))
+            subsets = [p[[k * a + b for a in S for b in Z]]
+                       for S, Z in (([0, 1], [0]), ([0, 1, 4, 5], range(k)),
+                                    ([0, 1, 3], range(k)))]
+            out.append((str(path), *(",".join(map(str, sorted(s.tolist())))
+                                     for s in subsets)))
     return out
 
 
@@ -194,10 +199,13 @@ def call_list(tmp: Path) -> list[list[str]]:
         calls += [["check", *model], ["identities", *model],
                   ["cosets", *model, "--subset", "0,1"],
                   ["hull", *model, "--subset", "0,1"]]
-    for path, s2, s4 in relabeled_tables(tmp):
+    for path, s2, s4, v013 in product_tables(tmp):
         model = ["--model", f"table:{path}"]
         calls += [["check", *model], ["cosets", *model, "--subset", s2],
-                  ["hull", *model, "--subset", s4]]
+                  ["hull", *model, "--subset", s4],
+                  ["microassoc", *model, "--vset", s4],
+                  ["microassoc", *model, "--vset", s4, "--wset", s2],
+                  ["microassoc", *model, "--vset", v013]]
     return [argv for argv in calls if depth_of(argv) <= 62
             and (argv[0] != "metric" or depth_of(argv) <= 20)]
 
