@@ -18,10 +18,10 @@ known closed form, the Einstein ball and the Moebius disk, override
 computed once by the same formula; the formula remains the oracle and
 the two are compared by ``check_identities``.
 
-Verification is sample-based: finite models are always checked
-exhaustively, continuous models with a seeded pseudorandom sampler plus
-deterministic boundary-stress points.  Failures are report entries with
-a witness that reproduces the failure, never exceptions.
+Continuous models are verified on samples, seeded pseudorandom draws
+plus deterministic boundary-stress points; finite tables on all n^3
+triples (below).  Failures are report entries with a witness that
+reproduces the failure, never exceptions.
 
 Continuous sweeps run in consecutive blocks of ``ROWS`` rows, and no
 draw-sized array ever exists: each block draws its own rows with the
@@ -36,16 +36,16 @@ the calling thread.  Either way each block's check list is folded into
 the report as it finishes (``_merged``), so that the report equals that
 of one pass over all rows, and a sweep's memory does not grow with its
 sample count.  Within a block, each gyration gyr[a, b] is applied once
-to a stack of its arguments, and each sum a + b is formed once.  A
-finite ``check_identities`` block is the index grid of its slab.
+to a stack of its arguments, and each sum a + b is formed once.
 
-``check_axioms`` on a finite table first runs whole-table tests of
-O(k n^2) cost, k the number of distinct gyrations (``_finite_axioms_hold``).
-When they hold, every one of the n^3 triples passes, and the passing
-records are returned as they are.  Only when one fails does the slab
-sweep run, to find the witnesses.  It reads ``table``, ``inverses`` and
-the gyrations ``P[gid]`` directly, in ``P``'s dtype: every check of a slab
-is one gather of shape (slab, n, n), and no index grid is built.
+``check_axioms`` and ``check_identities`` on a finite table first run
+whole-table tests of O(k n^2) cost, k the number of distinct gyrations
+(``_finite_axioms_hold``).  When they hold, every check passes on all n^3
+triples, and the passing records are returned as they are.  Only when
+one fails does a slab sweep run, to find the witnesses: the identities'
+on each slab's index grid, the axioms' as gathers on ``table``,
+``inverses`` and ``P[gid]`` in ``P``'s dtype, one of shape (slab, n, n)
+per check.
 """
 
 from __future__ import annotations
@@ -518,6 +518,11 @@ _FINITE_CHECKS = ("axiom-identity-left", "axiom-identity-right",
                   "gyration-additivity", "gyration-bijectivity",
                   "gyration-left-division")
 
+# the checks of ``check_identities``, in ``_identity_checks``' order
+_IDENTITY_CHECKS = tuple(f"identity-{name}" for name in (
+    "left-cancellation", "right-cancellation", "right-cancellation-co",
+    "gyration-formula", "gyrotranslation", "gyrosum-inversion"))
+
 
 def _finite_axioms_hold(model: GyroModel, T) -> bool:
     """Whether every triple of a finite table passes every check of
@@ -639,7 +644,20 @@ def check_identities(model: GyroModel, spec: SampleSpec = SampleSpec()) -> Axiom
     * gyration formula               gyr agrees with -(x+y) + (x+(y+z))
     * gyrotranslation                (-x+y) + gyr[-x, y](-y+z) = -x+z
     * gyrosum inversion              -(x+y) = gyr[x, y]((-y) + (-x))
+
+    A finite table is a gyrogroup exactly when the tests of
+    ``_finite_axioms_hold`` pass, and then every record is an exact pass
+    over all n^3 triples, with no sweep: left cancellation, both right
+    cancellations, gyrotranslation and gyrosum inversion are theorems of
+    the axioms (Ungar, Analytic Hyperbolic Geometry, 2005, ch. 2), and the
+    gyration formula holds on every table, as the load builds ``P[gid]``
+    by that formula with the same ``inverses``.  A table that fails the
+    tests is swept, to find the witnesses.
     """
+    if model.is_finite and _finite_axioms_hold(
+            model, model.table.astype(model.P.dtype)):
+        return AxiomReport([CheckResult.exact(name, model.n ** 3)
+                            for name in _IDENTITY_CHECKS])
     return _swept(model, spec, _identity_checks)
 
 

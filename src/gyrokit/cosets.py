@@ -180,12 +180,15 @@ def same_coset(model: GyroModel, H, a, b, slack: float | None = None) -> bool:
 def homogeneity_check(partition: CosetPartition) -> CheckResult:
     """Whether each coset translation h_a of a ``left_cosets`` partition is
     a well-defined bijection: as a + (r + h) = (a + r) + gyr[a, r](h), when
-    no gyr[a, r], r a representative, carries H out of H (a + . bijects)."""
+    no gyr[a, r], r a representative, carries H out of H (a + . bijects).
+    Classes that are not cosets of H fail at (a, r) if h_a is defined there."""
     model, reps = partition.model, partition.representatives
     hit = model.leaving_pair(partition.H.members(), range(model.n), reps)
-    if hit:  # a + x leaves (a + r) + H for an x in r + H: this raises
+    if hit:  # on cosets, a + x leaves (a + r) + H for an x in r + H: raises
         homogeneity_translate(partition, hit[0], partition.project(hit[1]))
-    return CheckResult.exact("homogeneity-bijection", model.n * len(reps))
+    witness = hit and {"kind": "gyration", "elements": list(hit)}
+    return CheckResult.exact("homogeneity-bijection", model.n * len(reps),
+                             witness)
 
 
 def homogeneity_translate(partition: CosetPartition, a: int, coset: int) -> int:

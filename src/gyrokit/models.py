@@ -486,7 +486,7 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     index 0.  Parsing is bit-exact: NaN/Infinity, non-integer entries,
     duplicate labels, and out-of-range indices are all rejected.
     ``validate=False`` skips the axiom gate so a verification sweep can
-    report the failures itself.
+    report the failures itself.  A dict ``source`` is read, never changed.
     """
     doc = read_json(source, TableError, parse_constant=_reject_nonfinite)
     if not isinstance(doc, dict) or "table" not in doc:
@@ -515,9 +515,12 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
         raise TableError("table must be square")
     if n and not (min(map(min, table)) >= 0 and max(map(max, table)) < n):
         raise TableError("table entries must be indices in 0..n-1")
+    # one int64 array, and the parsed lists dropped before the n^3 build
+    tbl = np.array(table, dtype=np.int64)
+    name = name or doc.get("name", "table")
+    del doc, table
     # identity-at-0 is enforced by the axiom validation inside FiniteTable
-    return FiniteTable(table, labels=labels,
-                       name=name or doc.get("name", "table"), validate=validate)
+    return FiniteTable(tbl, labels=labels, name=name, validate=validate)
 
 
 def cyclic_table(n: int, name: str | None = None) -> FiniteTable:

@@ -249,6 +249,20 @@ class TestRepresentativeDependence:
         assert str(err.value) == ("h_a is representative-dependent at a=2, "
                                   "coset=1: images [0, 2]")
 
+    def test_check_fails_where_the_classes_are_not_cosets(self, g8):
+        # H = {0, 7} with classes that are not its cosets: gyr[1, 2] carries
+        # H out of H, yet 1 + . maps each class into one class, so the
+        # translation does not raise, and the check fails with that pair
+        part = hand_built_partition(g8, [0, 7],
+                                    [(0, 7), (1, 6), (2, 5), (3, 4)])
+        assert g8.leaving_pair(part.H.members(), range(8),
+                               part.representatives) == (1, 2)
+        assert homogeneity_translate(part, 1, part.project(2)) >= 0
+        result = homogeneity_check(part)
+        assert not result.passed
+        assert result.witness == {"kind": "gyration", "elements": [1, 2]}
+        assert result.record()["samples"] == 8 * 4
+
 
 class TestSubsetParsing:
     def test_finite(self, z4):

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from gyrokit import (EinsteinModel, FiniteSet, FiniteTable, MobiusModel,
                      RadialBall, check_axioms, check_identities, cyclic_table,
-                     is_L_subgyrogroup, left_cosets, micro_assoc_check)
+                     is_L_subgyrogroup, left_cosets, micro_assoc_check,
+                     table_load)
 from gyrokit import core
 from gyrokit.cli import main
 from gyrokit.cosets import homogeneity_check
@@ -853,6 +855,11 @@ def test_sufficient_tests_match_the_slab_sweep(g8, data):
     # the tests hold exactly on the gyrogroups: no valid table is swept
     hold = _finite_axioms_hold(model, model.table.astype(model.P.dtype))
     assert hold == want.passed
+    # the identities, decided by the same tests, report what the block
+    # body reports on the whole index cube
+    cube = np.indices((n, n, n)).reshape(3, -1)
+    assert check_identities(model).to_json_lines() == whole_report(
+        model, _identity_checks, *cube)
 
 
 def planted_table(g8, test):
@@ -931,6 +938,27 @@ def test_validated_load_never_sweeps(g8, monkeypatch):
     # a broken table does reach the sweep
     with pytest.raises(AssertionError, match="slab sweep"):
         check_axioms(corrupted(g8, 4, "row-swapped"))
+
+
+def test_identities_of_a_gyrogroup_never_sweep(g8, monkeypatch):
+    # the identities are theorems of the axioms: a table that passes the
+    # sufficient tests is answered without one op or gyr call
+    calls = []
+    for name in ("op", "gyr"):
+        def counted(self, *args, name=name, method=getattr(FiniteTable, name)):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(FiniteTable, name, counted)
+    model = FiniteTable(product_table(g8, 4))
+    report = check_identities(model)
+    assert calls == []
+    assert report.passed and report.max_residual == 0.0
+    assert [r.samples for r in report.results] == [32 ** 3] * 6
+    # a broken table is swept through op and gyr, for its witnesses
+    path = Path(__file__).parent / "golden" / "tables" / "g8-swapped.json"
+    report = check_identities(table_load(path.read_text(), validate=False))
+    assert {"op", "gyr"} <= set(calls)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("kind", ["valid", "column-swapped"])

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -357,3 +358,15 @@ class TestFiniteTable:
         t = table_load({"table": cyclic_table(3).table.tolist(),
                         "labels": ["e", "g", "g2"]})
         assert t.labels == ["e", "g", "g2"]
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_load_leaves_a_dict_document_unchanged(self, validate):
+        # the load drops its own references to the parsed lists, and
+        # never the caller's
+        doc = json.loads(bundled_table_path("g8").read_text())
+        doc["labels"], doc["name"] = [f"e{i}" for i in range(8)], "g8-doc"
+        before = copy.deepcopy(doc)
+        model = table_load(doc, validate=validate)
+        assert doc == before
+        assert model.table.tolist() == doc["table"]
+        assert model.labels == doc["labels"] and model.name == doc["name"]

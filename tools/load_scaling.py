@@ -19,13 +19,14 @@ admissible chain
 
 with the g8 subgroups S4 and S2 of ``tests/golden/chains/g8-adm.json``.
 Last it times ``is_L_subgyrogroup`` and ``left_cosets`` of H = S4 x Z_k
-(``cosets``), and ``micro_assoc_check`` with W = V = H (``micro``).
+(``cosets``), ``micro_assoc_check`` with W = V = H (``micro``), and
+``check_identities`` on the table (``identities``).
 Each order runs in a fresh Python process, so that its peak resident
 memory (``getrusage``'s ``ru_maxrss``) is its own; the process's imports
 and the product table count towards it.  Prints the number k of
 distinct gyrations (2 for every g8 x Z_k), the seconds of each stage,
 the peak MiB per order, and whether the prenorm laws, the partition
-into two cosets and micro-associativity all passed.
+into two cosets, micro-associativity and the identities all passed.
 
 This is a reported measurement, not a test: nothing here gates anything.
 """
@@ -45,13 +46,14 @@ S4, S2 = [0, 1, 4, 5], [0, 1]  # the g8 sets of tests/golden/chains/g8-adm.json
 
 # run in a fresh process with argv[1] = k; prints {"n", "k", "load_s",
 # "orbits_s", "hull_s", "family_s", "laws_s", "cosets_s", "micro_s",
-# "peak_mib", "passed"}
+# "identities_s", "peak_mib", "passed"}
 CHILD = f"""
 import json, resource, sys, time
 import numpy as np
 from gyrokit import (FiniteSet, FiniteTable, admissible_hull,
-                     build_dyadic_family, chain_load, is_L_subgyrogroup,
-                     left_cosets, micro_assoc_check, prenorm_laws_check)
+                     build_dyadic_family, chain_load, check_identities,
+                     is_L_subgyrogroup, left_cosets, micro_assoc_check,
+                     prenorm_laws_check)
 from gyrokit.models import table_load
 import importlib.resources
 
@@ -87,8 +89,9 @@ H = FiniteSet(8 * k, indices=lift({S4}, range(k)))
 ok = timed("cosets", lambda: is_L_subgyrogroup(model, H)[0]
            and len(left_cosets(model, H).cosets) == 2)
 micro = timed("micro", lambda: micro_assoc_check(model, H, H))
+ids = timed("identities", lambda: check_identities(model))
 out["passed"] = (family.report.passed and all(r.passed for r in laws)
-                 and ok and micro.passed)
+                 and ok and micro.passed and ids.passed)
 out["peak_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
@@ -104,14 +107,16 @@ def load(k: int) -> dict:
 
 def main(argv: list[str]) -> int:
     factors = [int(a) for a in argv] or FACTORS
-    cols = ["load", "orbits", "hull", "family", "laws", "cosets", "micro"]
+    cols = ["load", "orbits", "hull", "family", "laws", "cosets", "micro",
+            "identities"]
+    width = {c: max(10, len(c) + 4) for c in cols}
     print(f"{'table':<10}{'n':>6}{'k':>6}"
-          + "".join(f"{c + ' s':>10}" for c in cols)
+          + "".join(f"{c + ' s':>{width[c]}}" for c in cols)
           + f"{'peak MiB':>11}{'passed':>8}")
     for k in factors:
         r = load(k)
         print(f"{'g8xz' + str(k):<10}{r['n']:>6}{r['k']:>6}"
-              + "".join(f"{r[c + '_s']:>10.2f}" for c in cols)
+              + "".join(f"{r[c + '_s']:>{width[c]}.2f}" for c in cols)
               + f"{r['peak_mib']:>11.0f}{str(r['passed']):>8}")
     return 0
 

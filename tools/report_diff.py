@@ -27,11 +27,12 @@ The calls are:
   tables of order up to 64: ``check`` and ``identities`` sweep them
   unvalidated, ``cosets`` and ``hull`` refuse them at load with exit 2
   and a message that names the defect;
-- ``check``, ``cosets``, ``hull`` and ``microassoc`` on the same g8 x Z_k,
-  valid, as it is and relabeled by a seeded permutation that keeps 0 at
-  0, with the (relabeled) subgroups S2 x {0} and S4 x Z_k as subsets:
-  ``microassoc`` with W = V = S4 x Z_k, with W = S2 x {0} in it, and with
-  W = V = {0, 1, 3} x Z_k, which is not gyration-invariant and fails.
+- ``check``, ``identities``, ``cosets``, ``hull`` and ``microassoc`` on
+  the same g8 x Z_k, valid, as it is and relabeled by a seeded permutation
+  that keeps 0 at 0, with the (relabeled) subgroups S2 x {0} and S4 x Z_k
+  as subsets: ``microassoc`` with W = V = S4 x Z_k, with W = S2 x {0} in
+  it, and with W = V = {0, 1, 3} x Z_k, which is not gyration-invariant
+  and fails.
 
 Each table is written once to a temporary directory that both trees read,
 as its path is in the ``_config`` record.
@@ -201,7 +202,8 @@ def call_list(tmp: Path) -> list[list[str]]:
                   ["hull", *model, "--subset", "0,1"]]
     for path, s2, s4, v013 in product_tables(tmp):
         model = ["--model", f"table:{path}"]
-        calls += [["check", *model], ["cosets", *model, "--subset", s2],
+        calls += [["check", *model], ["identities", *model],
+                  ["cosets", *model, "--subset", s2],
                   ["hull", *model, "--subset", s4],
                   ["microassoc", *model, "--vset", s4],
                   ["microassoc", *model, "--vset", s4, "--wset", s2],
