@@ -416,6 +416,13 @@ def first_hit(mask) -> list[int] | None:
     return None
 
 
+def _at(values, i):
+    """values[i]; ``CarrierError`` for i outside 0 ... len(values) - 1."""
+    if not 0 <= int(i) < len(values):
+        raise CarrierError("index out of range")
+    return values[int(i)]
+
+
 def _pick(batch, i):
     arr = np.asarray(batch)
     if arr.ndim == 0:

@@ -6,20 +6,23 @@ gyr[a, h](H) = H for every a in the carrier and h in H; exactly then
 the left cosets a + H partition the carrier and the projection
 pi(a) = a + H is well defined with fibers pi^-1(pi(a)) = a + H.
 
-Cosets are materialized for finite models only.  For continuous models
-the module offers membership testing ((-a) + b in H within tolerance)
-and sampled subgyrogroup verdicts, never explicit cosets.
+Cosets are materialized for finite models only, on validated tables:
+the least element of a + H labels the coset of a, and the one exact
+test left is (a + h) + H = a + H.  For continuous models the module
+offers membership testing ((-a) + b in H within tolerance) and sampled
+subgyrogroup verdicts, never explicit cosets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CheckResult, CosetError, GyroModel, SampleSpec, first_hit
+from .core import (CarrierError, CheckResult, CosetError, GyroModel,
+                   SampleSpec, _at, first_hit)
 from .models import FiniteTable
-from .sets import FiniteSet, member_masks
+from .sets import FiniteSet
 
 __all__ = [
     "is_subgyrogroup",
@@ -100,69 +103,57 @@ def is_L_subgyrogroup(model: GyroModel, H, spec: SampleSpec = SampleSpec(1000)):
     return True, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetPartition:
-    """The left-coset decomposition {a + H} of a finite model.
-
-    Cosets are ordered by their minimal element, which also serves as
-    the canonical representative, so reports diff cleanly.
-    """
+    """The left-coset decomposition {a + H} of a finite model: ``index_of``
+    numbers the coset of each element, by least element, which is the
+    canonical representative, so reports diff cleanly."""
 
     model: FiniteTable
     H: FiniteSet
-    cosets: list[tuple[int, ...]] = field(default_factory=list)
-    index_of: np.ndarray | None = None
+    index_of: np.ndarray
+
+    @property
+    def cosets(self) -> list[tuple[int, ...]]:
+        members = np.argsort(self.index_of, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.index_of[members])) + 1
+        return [tuple(c.tolist()) for c in np.split(members, cuts)]
 
     @property
     def representatives(self) -> list[int]:
-        return [c[0] for c in self.cosets]
+        return np.unique(self.index_of, return_index=True)[1].tolist()
 
     def project(self, a) -> int:
-        """pi(a): the index of the coset containing a."""
+        """pi(a): the index of the coset containing a; ``CarrierError``
+        for a outside 0 ... n - 1."""
+        if not self.model.contains(a):
+            raise CarrierError("index out of range")
         out = self.index_of[np.asarray(a, dtype=np.int64)]
         return int(out) if out.ndim == 0 else out
 
 
 def left_cosets(model: FiniteTable, H) -> CosetPartition:
-    """Partition the carrier into left cosets a + H.
-
-    Refuses to run unless H is an L-subgyrogroup (otherwise the coset
-    family may fail to partition).  Verifies exhaustively that the
-    cosets are disjoint, cover the carrier, have size |H|, and satisfy
-    (a + h) + H = a + H for every a and h in H.
-    """
+    """Partition the carrier into left cosets a + H, labeled by least
+    element.  Refuses a table not validated on load and an H that is no
+    L-subgyrogroup, the hypotheses under which the cosets partition the
+    carrier.  Verifies (a + h) + H = a + H for all a and h in H."""
+    if getattr(model, "axiom_report", None) is None:
+        raise CosetError("left cosets need a table validated on load")
     H = _as_finite_set(model, H)
     ok, witness = is_L_subgyrogroup(model, H)
     if not ok:
         raise CosetError(f"H is not an L-subgyrogroup: {witness}")
 
-    n, idx = model.n, H.index_array()
-    cos = model.table[:, idx]  # row a: the coset a + H
-    # the distinct cosets, their membership rows compared as reversed bit
-    # strings (highest element first), and the one of each a
-    found, coset_of = np.unique(member_masks(cos, n)[:, ::-1], axis=0,
-                                return_inverse=True)
-    found, coset_of = found[:, ::-1], coset_of.ravel()
-    overlap = np.any((np.cumsum(found, axis=0) > 1) & found, axis=1)
-    for s, over in zip(found, overlap):
-        members = tuple(np.flatnonzero(s).tolist())
-        if over:
-            raise CosetError(f"cosets overlap: {members}")
-        if len(members) != idx.size:
-            raise CosetError(f"coset {members} has size {len(members)} != |H|")
-    if not found.any(axis=0).all():
-        raise CosetError("cosets do not cover the carrier")
-
+    idx = H.index_array()
+    cos = np.take(model.table, idx, axis=1)  # row a: the coset a + H
+    label = cos.min(axis=1)
     # the derivation (a + h) + H = a + (h + H) = a + H, exhaustively
-    hit = first_hit(coset_of[cos] != coset_of[:, None])
+    hit = first_hit(label[cos] != label[:, None])
     if hit:
         raise CosetError(f"(a+h)+H != a+H at a={hit[0]}, h={idx[hit[1]]}; "
                          "H is not coset-stable")
-
-    order = np.argsort(found.argmax(axis=1))  # by least element
-    cosets = [tuple(np.flatnonzero(found[i]).tolist()) for i in order]
-    index_of = np.argsort(order)[coset_of]
-    return CosetPartition(model=model, H=H, cosets=cosets, index_of=index_of)
+    index_of = np.unique(label, return_inverse=True)[1]
+    return CosetPartition(model=model, H=H, index_of=index_of)
 
 
 def same_coset(model: GyroModel, H, a, b, slack: float | None = None) -> bool:
@@ -196,10 +187,10 @@ def homogeneity_translate(partition: CosetPartition, a: int, coset: int) -> int:
 
     Evaluated from every representative x of the coset; a disagreement
     means H is not gyration-invariant enough for the translation to be
-    well defined, and raises.
+    well defined, and raises.  Out-of-range a or coset: ``CarrierError``.
     """
     images = np.unique(partition.project(
-        partition.model.op(a, partition.cosets[coset])))
+        partition.model.op(a, _at(partition.cosets, coset))))
     if images.size != 1:
         raise CosetError(
             f"h_a is representative-dependent at a={a}, coset={coset}: "

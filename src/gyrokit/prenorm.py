@@ -46,9 +46,9 @@ from typing import IO
 
 import numpy as np
 
-from .core import (ROWS, AxiomReport, CarrierError, ChainError, CheckResult,
-                   GyroModel, SampleSpec, _mapped, _merged, _verdict,
-                   first_hit, read_json)
+from .core import (ROWS, AxiomReport, ChainError, CheckResult, GyroModel,
+                   SampleSpec, _at, _mapped, _merged, _verdict, first_hit,
+                   read_json)
 from .cosets import CosetPartition, _as_finite_set
 from .models import radial_add, radial_half, radial_third
 from .sets import FiniteSet, OriginSet, RadialBall, oplus_rows
@@ -343,13 +343,6 @@ def build_dyadic_family(model: GyroModel, chain: DyadicChain,
         raise ChainError(
             f"depth {depth} exceeds chain length {len(chain.sets)}")
     return DyadicFamily(model, chain, depth, report)
-
-
-def _at(values, i):
-    """values[i]; ``CarrierError`` for i outside 0 ... len(values) - 1."""
-    if not 0 <= int(i) < len(values):
-        raise CarrierError("index out of range")
-    return values[int(i)]
 
 
 def rho_N(family: DyadicFamily, x, y):

@@ -123,14 +123,26 @@ def brute_l_subgyrogroups(model):
     return out
 
 
+def brute_left_cosets(model, H):
+    """The distinct left cosets a + H, each a Python set of
+    ``model.op(a, h)``, ordered by least element: (``cosets``, ``index_of``)
+    as ``left_cosets`` gives them, members ascending."""
+    found = {frozenset(int(model.op(a, h)) for h in H.indices())
+             for a in range(model.n)}
+    cosets = sorted(tuple(sorted(c)) for c in found)
+    index_of = [next(i for i, c in enumerate(cosets) if a in c)
+                for a in range(model.n)]
+    return cosets, index_of
+
+
 def hand_built_partition(model, hidx, classes):
-    """A ``CosetPartition`` of ``model`` into ``classes``, taken as the
-    cosets of H = ``hidx`` unchecked, as ``left_cosets`` would not."""
+    """A ``CosetPartition`` of ``model`` into ``classes``, given by least
+    element, taken as the cosets of H = ``hidx`` unchecked, as
+    ``left_cosets`` would not."""
     index_of = np.zeros(model.n, dtype=np.int64)
     for i, c in enumerate(classes):
         index_of[list(c)] = i
-    return CosetPartition(model, FiniteSet(model.n, indices=hidx),
-                          list(classes), index_of)
+    return CosetPartition(model, FiniteSet(model.n, indices=hidx), index_of)
 
 
 # The finite gyration tests as they were before each became a read of

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gyrokit import (CosetError, EinsteinModel, FiniteSet, FiniteTable,
-                     MobiusModel, SampleSpec, homogeneity_translate,
-                     is_L_subgyrogroup, is_subgyrogroup, left_cosets,
-                     parse_subset, same_coset)
+from gyrokit import (CarrierError, CosetError, EinsteinModel, FiniteSet,
+                     FiniteTable, MobiusModel, SampleSpec,
+                     homogeneity_translate, is_L_subgyrogroup,
+                     is_subgyrogroup, left_cosets, parse_subset, same_coset)
 from gyrokit.cosets import homogeneity_check
 from gyrokit.sets import AxisSet, OriginSet, RadialBall
 
@@ -152,22 +152,24 @@ class TestCosetPartition:
         with pytest.raises(CosetError, match="L-subgyrogroup"):
             left_cosets(g8, FiniteSet(8, indices=bad))
 
-    @pytest.mark.parametrize("table,hidx,message", [
-        ([[0, 1, 2], [1, 2, 0], [2, 2, 2]], [0, 2],
-         "coset (2,) has size 1 != |H|"),
-        ([[0, 1, 2], [2, 1, 0], [2, 2, 0]], [0, 2],
-         "cosets do not cover the carrier"),
-        ([[0, 1, 2], [1, 0, 0], [2, 1, 0]], [0, 1], "cosets overlap: (1, 2)"),
-        ([[0, 1, 2, 3], [2, 3, 0, 1], [2, 2, 0, 0], [1, 2, 3, 0]], [0, 2],
-         "(a+h)+H != a+H at a=3, h=0; H is not coset-stable"),
-    ])
-    def test_unvalidated_table_refusals(self, table, hidx, message):
-        # magmas that are not gyrogroups, where H passes the L-subgyrogroup
-        # test: each of the partition's own checks refuses one of them
-        model = FiniteTable(table, validate=False)
+    def test_refuses_unvalidated_table(self, z4):
+        # the cosets partition the carrier by the axioms, which a table
+        # loaded with validate=False has not passed
+        model = FiniteTable(z4.table, validate=False)
         with pytest.raises(CosetError) as err:
-            left_cosets(model, FiniteSet(model.n, indices=hidx))
-        assert str(err.value) == message
+            left_cosets(model, FiniteSet(4, indices=[0, 2]))
+        assert str(err.value) == "left cosets need a table validated on load"
+
+    def test_indices_outside_the_carrier_refused(self, g8):
+        part = left_cosets(g8, FiniteSet(8, indices=[0, 1]))
+        assert part.project(7) == 3
+        for a in (-1, 8, [0, -1], [8]):
+            with pytest.raises(CarrierError):
+                part.project(a)
+        assert homogeneity_translate(part, 1, 3) == 3
+        for coset in (-1, 4, 8):
+            with pytest.raises(CarrierError):
+                homogeneity_translate(part, 1, coset)
 
     def test_projection_properties(self, g8):
         H = FiniteSet(8, indices=[0, 1, 4, 5])

@@ -31,10 +31,11 @@ from gyrokit.prenorm import (DyadicChain, _directions, _greedy_shrink,
                              build_dyadic_family, prenorm_laws_check, shrink)
 from gyrokit.sets import member_masks, oplus_rows
 
-from conftest import (brute_gyr, brute_l_subgyrogroups, brute_subgyrogroups,
-                      bundled_table_path, cube_l_subgyrogroup,
-                      cube_micro_assoc, full_gyrations, load_bundled,
-                      plant_gyration, set_of_bits, table_homogeneity, triples)
+from conftest import (brute_gyr, brute_l_subgyrogroups, brute_left_cosets,
+                      brute_subgyrogroups, bundled_table_path,
+                      cube_l_subgyrogroup, cube_micro_assoc, full_gyrations,
+                      load_bundled, plant_gyration, set_of_bits,
+                      table_homogeneity, triples)
 
 
 def test_tensor_matches_brute_gyr(g8):
@@ -1290,6 +1291,9 @@ def test_l_subgyrogroups_and_homogeneity_match_cube_oracles(g8, k, subs,
         verdicts.append(got[0])
         if got[0]:
             part = left_cosets(model, H)
+            cosets, index_of = brute_left_cosets(model, H)
+            assert part.cosets == cosets
+            assert part.index_of.tolist() == index_of
             assert homogeneity_check(part) == table_homogeneity(part)
             assert homogeneity_check(part).passed
     assert sum(verdicts) == lsubs

@@ -32,7 +32,8 @@ The calls are:
   that keeps 0 at 0, with the (relabeled) subgroups S2 x {0} and S4 x Z_k
   as subsets: ``microassoc`` with W = V = S4 x Z_k, with W = S2 x {0} in
   it, and with W = V = {0, 1, 3} x Z_k, which is not gyration-invariant
-  and fails.
+  and fails; and ``metric --quotient`` at depth 6 on the chain [G, H, H],
+  H = S4 x Z_k, with H as the subset.
 
 Each table is written once to a temporary directory that both trees read,
 as its path is in the ``_config`` record.
@@ -150,7 +151,8 @@ def product_tables(tmp: Path) -> list[tuple[str, ...]]:
     relabeled by the permutation p of its indices, 0 kept and the rest
     drawn with seed k, written to ``tmp``, each with its subgroups
     S2 x {0} and S4 x Z_k and the lift {0, 1, 3} x Z_k of the g8 set
-    that is not gyration-invariant, relabeled alike, as subsets."""
+    that is not gyration-invariant, relabeled alike, as subsets, and the
+    path of the admissible chain [G, S4 x Z_k, S4 x Z_k] on it."""
     out = []
     for k in CORRUPT_FACTORS:
         n = 8 * k
@@ -164,8 +166,13 @@ def product_tables(tmp: Path) -> list[tuple[str, ...]]:
             subsets = [p[[k * a + b for a in S for b in Z]]
                        for S, Z in (([0, 1], [0]), ([0, 1, 4, 5], range(k)),
                                     ([0, 1, 3], range(k)))]
-            out.append((str(path), *(",".join(map(str, sorted(s.tolist())))
-                                     for s in subsets)))
+            h = sorted(subsets[1].tolist())
+            chain = tmp / f"{name}-ghh.json"
+            chain.write_text(json.dumps(
+                {"flavor": "admissible", "sets": [list(range(n)), h, h]}))
+            out.append((str(path), str(chain),
+                        *(",".join(map(str, sorted(s.tolist())))
+                          for s in subsets)))
     return out
 
 
@@ -200,14 +207,16 @@ def call_list(tmp: Path) -> list[list[str]]:
         calls += [["check", *model], ["identities", *model],
                   ["cosets", *model, "--subset", "0,1"],
                   ["hull", *model, "--subset", "0,1"]]
-    for path, s2, s4, v013 in product_tables(tmp):
+    for path, ghh, s2, s4, v013 in product_tables(tmp):
         model = ["--model", f"table:{path}"]
         calls += [["check", *model], ["identities", *model],
                   ["cosets", *model, "--subset", s2],
                   ["hull", *model, "--subset", s4],
                   ["microassoc", *model, "--vset", s4],
                   ["microassoc", *model, "--vset", s4, "--wset", s2],
-                  ["microassoc", *model, "--vset", v013]]
+                  ["microassoc", *model, "--vset", v013],
+                  ["metric", *model, "--chain", ghh, "--subset", s4,
+                   "--quotient", "--depth", "6"]]
     return [argv for argv in calls if depth_of(argv) <= 62
             and (argv[0] != "metric" or depth_of(argv) <= 20)]
 
