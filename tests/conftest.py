@@ -135,6 +135,25 @@ def brute_left_cosets(model, H):
     return cosets, index_of
 
 
+def brute_coset_defects(model, hidx):
+    """Every way the sets a + H, H = ``hidx``, fail to be a partition with
+    (a + h) + H = a + H: a coset of size other than |H|, a coset meeting
+    another, an uncovered carrier, an unstable (a, h); each in words."""
+    of = [frozenset(int(model.op(a, h)) for h in hidx)
+          for a in range(model.n)]
+    found = sorted(tuple(sorted(c)) for c in set(of))
+    out = {f"coset {c} has size {len(c)} != |H|"
+           for c in found if len(c) != len(hidx)}
+    out |= {f"cosets overlap: {c}" for c in found
+            if any(set(c) & set(d) for d in found if d != c)}
+    if set().union(*of) != set(range(model.n)):
+        out.add("cosets do not cover the carrier")
+    out |= {f"(a+h)+H != a+H at a={a}, h={h}; H is not coset-stable"
+            for a in range(model.n) for h in hidx
+            if of[int(model.op(a, h))] != of[a]}
+    return out
+
+
 def hand_built_partition(model, hidx, classes):
     """A ``CosetPartition`` of ``model`` into ``classes``, given by least
     element, taken as the cosets of H = ``hidx`` unchecked, as

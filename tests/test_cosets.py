@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from gyrokit import (CarrierError, CosetError, EinsteinModel, FiniteSet,
-                     FiniteTable, MobiusModel, SampleSpec,
+                     FiniteTable, MobiusModel, SampleSpec, TableError,
                      homogeneity_translate, is_L_subgyrogroup,
                      is_subgyrogroup, left_cosets, parse_subset, same_coset)
 from gyrokit.cosets import homogeneity_check
 from gyrokit.sets import AxisSet, OriginSet, RadialBall
 
-from conftest import (brute_l_subgyrogroups, brute_subgyrogroups,
-                      hand_built_partition, set_of_bits)
+from conftest import (brute_coset_defects, brute_l_subgyrogroups,
+                      brute_subgyrogroups, hand_built_partition, set_of_bits)
 
 
 class TestSubgyrogroupDetection:
@@ -151,6 +151,29 @@ class TestCosetPartition:
         bad = next(s for s in brute_subgyrogroups(g8) if s not in lsubs)
         with pytest.raises(CosetError, match="L-subgyrogroup"):
             left_cosets(g8, FiniteSet(8, indices=bad))
+
+    @pytest.mark.parametrize("table,hidx,defect", [
+        ([[0, 1, 2], [1, 2, 0], [2, 2, 2]], [0, 2],
+         "coset (2,) has size 1 != |H|"),
+        ([[0, 1, 2], [2, 1, 0], [2, 2, 0]], [0, 2],
+         "cosets do not cover the carrier"),
+        ([[0, 1, 2], [1, 0, 0], [2, 1, 0]], [0, 1], "cosets overlap: (1, 2)"),
+        ([[0, 1, 2, 3], [2, 3, 0, 1], [2, 2, 0, 0], [1, 2, 3, 0]], [0, 2],
+         "(a+h)+H != a+H at a=3, h=0; H is not coset-stable"),
+    ])
+    def test_unvalidated_table_refusals(self, table, hidx, defect):
+        # magmas that are not gyrogroups, where H passes the L-subgyrogroup
+        # test but a + H is no coset partition: validation refuses each on
+        # load, and left_cosets each unvalidated load, before any labeling
+        with pytest.raises(TableError, match="gyrogroup|inverse"):
+            FiniteTable(table)
+        model = FiniteTable(table, validate=False)
+        H = FiniteSet(model.n, indices=hidx)
+        assert defect in brute_coset_defects(model, hidx)
+        assert is_L_subgyrogroup(model, H)[0]
+        with pytest.raises(CosetError) as err:
+            left_cosets(model, H)
+        assert str(err.value) == "left cosets need a table validated on load"
 
     def test_refuses_unvalidated_table(self, z4):
         # the cosets partition the carrier by the axioms, which a table
