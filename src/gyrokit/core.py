@@ -74,8 +74,8 @@ __all__ = [
     "check_identities",
 ]
 
-# Rows per finite sweep block.  2^16 keeps every table of order <= 50 in
-# one block: 2^14 slowed the load of order-32 and -48 tables.
+# Rows per finite sweep block.  2^16 keeps every table of order <= 40 in
+# one slab, order 48 in two: 2^14 slowed the load of order-32 and -48 tables.
 CHUNK = 2 ** 16
 
 # Rows per continuous sweep block: a block's temporaries then fit in L2,
@@ -416,11 +416,38 @@ def first_hit(mask) -> list[int] | None:
     return None
 
 
-def _at(values, i):
-    """values[i]; ``CarrierError`` for i outside 0 ... len(values) - 1."""
-    if not 0 <= int(i) < len(values):
+def _is_int_type(t: type) -> bool:
+    """Whether t is a Python or NumPy integer type, bool not included."""
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
+def _indices(a, n: int):
+    """``a`` as ``intp`` indices into 0 ... n - 1, an int as is: before the
+    cast, ``CarrierError`` for any bool, non-integer or value out of range."""
+    if _is_int_type(type(a)) and 0 <= a < n:
+        return a
+    arr = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
+    ints = arr.dtype.kind in "iu" or (arr.dtype == object and all(
+        map(_is_int_type, set(map(type, arr.flat)))))
+    if arr.size and not (ints and arr.min() >= 0 and arr.max() < n):
         raise CarrierError("index out of range")
-    return values[int(i)]
+    return arr.astype(np.intp, copy=False)
+
+
+def _takes(a, n: int) -> bool:
+    """Whether ``_indices`` takes a."""
+    try:
+        _indices(a, n)
+    except CarrierError:
+        return False
+    return True
+
+
+def _at(values, i):
+    """values[i] for one element i; ``CarrierError`` for a batch too."""
+    if getattr(j := _indices(i, len(values)), "ndim", 0):
+        raise CarrierError("index out of range")
+    return values[j]
 
 
 def _pick(batch, i):

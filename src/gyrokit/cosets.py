@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CarrierError, CheckResult, CosetError, GyroModel,
-                   SampleSpec, _at, first_hit)
+from .core import (CheckResult, CosetError, GyroModel, SampleSpec, _at,
+                   _indices, first_hit)
 from .models import FiniteTable
 from .sets import FiniteSet
 
@@ -125,10 +125,8 @@ class CosetPartition:
 
     def project(self, a) -> int:
         """pi(a): the index of the coset containing a; ``CarrierError``
-        for a outside 0 ... n - 1."""
-        if not self.model.contains(a):
-            raise CarrierError("index out of range")
-        out = self.index_of[np.asarray(a, dtype=np.int64)]
+        unless a is an element, as for ``op``."""
+        out = self.index_of[_indices(a, self.model.n)]
         return int(out) if out.ndim == 0 else out
 
 
@@ -164,7 +162,7 @@ def same_coset(model: GyroModel, H, a, b, slack: float | None = None) -> bool:
     """
     diff = model.op(model.inv(a), b)
     if model.is_finite:
-        return int(diff) in _as_finite_set(model, H)
+        return bool(_at(_as_finite_set(model, H).members(), diff))
     return H.contains(model, diff, slack if slack is not None else model.eps)
 
 

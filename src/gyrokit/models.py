@@ -13,8 +13,8 @@ models; it drives the exact ball-set arithmetic of the prenorm module.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -25,7 +25,10 @@ from .core import (
     SampleSpec,
     TableError,
     _gather,
+    _indices,
+    _is_int_type,
     _slabs,
+    _takes,
     check_axioms,
     first_hit,
     read_json,
@@ -316,8 +319,9 @@ class FiniteTable(GyroModel):
     indices at a time: these n^3 lookups are the load's main cost, and no
     n^3 array exists.  On them ``check_axioms`` validates a gyrogroup by
     tests of O(k n^2) cost, and construction rejects any table that fails,
-    so every live instance is a validated model.  Public methods check
-    carrier membership; the finite algorithms index ``table`` and
+    so every live instance is a validated model.  Public methods take an
+    element as a Python or NumPy int in 0 ... n - 1, else raise
+    ``CarrierError``; the finite algorithms index ``table`` and
     ``inverses`` directly.  Only this class and that validation read ``P``
     and ``gid``: every gyration test runs once per row of ``P``.
     """
@@ -327,20 +331,20 @@ class FiniteTable(GyroModel):
 
     def __init__(self, table, labels: list[str] | None = None,
                  name: str = "table", validate: bool = True):
-        tbl = np.asarray(table, dtype=np.int64)
+        tbl = table if isinstance(table, np.ndarray) else np.array(table, object)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
             raise TableError("table must be square")
         n = tbl.shape[0]
         if n == 0:
             raise TableError("table must be nonempty")
-        if tbl.min() < 0 or tbl.max() >= n:
+        if not _takes(tbl, n):  # also a bool among a list's ints, or a float
             raise TableError("table entries must be indices in 0..n-1")
         if labels is None:
             labels = [str(i) for i in range(n)]
         if len(labels) != n or len(set(labels)) != n:
             raise TableError("labels must be distinct and match the order")
         self.n = n
-        self.table = tbl
+        self.table = tbl = tbl.astype(np.int64, copy=False)
         self.labels = list(labels)
         self.name = name
 
@@ -390,23 +394,14 @@ class FiniteTable(GyroModel):
         return 0
 
     def contains(self, a) -> bool:
-        a = np.asarray(a)
-        return bool(np.all((a >= 0) & (a < self.n)))
+        return _takes(a, self.n)
 
     def op(self, a, b):
-        # tested before the int64 cast, which overflows on a huge index
-        a, b = np.asarray(a), np.asarray(b)
-        if not (self.contains(a) and self.contains(b)):
-            raise CarrierError("index out of range")
-        out = self.table[a.astype(np.int64, copy=False),
-                         b.astype(np.int64, copy=False)]
+        out = self.table[_indices(a, self.n), _indices(b, self.n)]
         return int(out) if out.ndim == 0 else out
 
     def inv(self, a):
-        a = np.asarray(a)
-        if not self.contains(a):
-            raise CarrierError("index out of range")
-        out = self.inverses[a.astype(np.int64, copy=False)]
+        out = self.inverses[_indices(a, self.n)]
         return int(out) if out.ndim == 0 else out
 
     def residual(self, a, b):
@@ -420,10 +415,8 @@ class FiniteTable(GyroModel):
 
     def gyr(self, a, b, z):
         # gathered in P's dtype: no int64 copy of the result
-        a, b, z = (np.asarray(v) for v in (a, b, z))
-        if not (self.contains(a) and self.contains(b) and self.contains(z)):
-            raise CarrierError("index out of range")
-        out = self.P[self.gid[a, b], z]
+        n = self.n
+        out = self.P[self.gid[_indices(a, n), _indices(b, n)], _indices(z, n)]
         return int(out) if out.ndim == 0 else out
 
     def gyr_table(self, a: int, b: int) -> np.ndarray:
@@ -437,13 +430,13 @@ class FiniteTable(GyroModel):
     @functools.cached_property
     def gyr_orbits(self) -> np.ndarray:
         """Per element, the least of its orbit under the group the gyrations
-        generate: the reach of z -> P[i, z] over the k rows of ``P``,
-        squared until closed (an orbit, as gyrations permute)."""
-        reach = np.eye(self.n, dtype=bool)
-        reach[np.arange(self.n), self.P] = True
-        while not np.array_equal(closed := reach @ reach, reach):
-            reach = closed
-        return reach.argmax(axis=1)
+        generate, the least reachable by steps z -> P[i, z] (an orbit, as
+        gyrations permute): min-label propagation with pointer jumping."""
+        lab, prev = np.arange(self.n), None
+        while not np.array_equal(lab, prev):
+            prev, lab = lab, np.minimum(lab, lab[self.P].min(axis=0))
+            lab = lab[lab]
+        return lab
 
     @functools.cached_property
     def orbit_labels(self) -> np.ndarray:
@@ -494,13 +487,10 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     table = doc["table"]
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise TableError("'table' must be a list of rows")
-    # the entry types as one set, at C speed; the loop only names the first
-    # bad entry
-    if not set(map(type, itertools.chain.from_iterable(table))) <= {int}:
-        for row in table:
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise TableError(f"table entry {v!r} is not an integer")
+    # the entry types as one set, at C speed; then the first bad entry named
+    if not all(map(_is_int_type, set(map(type, chain(*table))))):
+        v = next(v for v in chain(*table) if not _is_int_type(type(v)))
+        raise TableError(f"table entry {v!r} is not an integer")
     order = doc.get("order", len(table))
     if order != len(table):
         raise TableError(f"declared order {order} != table size {len(table)}")
@@ -508,15 +498,11 @@ def table_load(source: str | bytes | IO | dict, name: str | None = None,
     if labels is not None and not (isinstance(labels, list) and all(
             isinstance(s, str) for s in labels)):
         raise TableError("'labels' must be a list of strings")
-    # ragged rows and entries beyond int64 would fail inside numpy, with its
-    # own messages: refused here with FiniteTable's texts, in its order
-    n = len(table)
-    if any(len(row) != n for row in table):
+    # ragged rows would fail inside numpy: refused with FiniteTable's text
+    if any(len(row) != len(table) for row in table):
         raise TableError("table must be square")
-    if n and not (min(map(min, table)) >= 0 and max(map(max, table)) < n):
-        raise TableError("table entries must be indices in 0..n-1")
-    # one int64 array, and the parsed lists dropped before the n^3 build
-    tbl = np.array(table, dtype=np.int64)
+    # one array, and the parsed lists dropped before the n^3 build
+    tbl = np.array(table)
     name = name or doc.get("name", "table")
     del doc, table
     # identity-at-0 is enforced by the axiom validation inside FiniteTable

@@ -137,9 +137,6 @@ def chain_load(model: GyroModel, source: str | bytes | IO | dict) -> DyadicChain
         sets = doc["sets"]
         if not (isinstance(sets, list) and all(isinstance(t, list) for t in sets)):
             raise ChainError("'sets' must be a list of index lists")
-        for i in (i for t in sets for i in t):
-            if isinstance(i, bool) or not isinstance(i, int):
-                raise ChainError(f"set member {i!r} is not an integer index")
         try:
             sets = [FiniteSet(model.n, indices=t) for t in sets]
         except ValueError as e:

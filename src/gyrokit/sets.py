@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GyroModel
+from .core import GyroModel, _indices, _is_int_type, _takes
 from .models import radial_add
 
 __all__ = ["FiniteSet", "RadialBall", "AxisSet", "OriginSet", "parse_subset"]
@@ -56,9 +56,11 @@ class FiniteSet:
 
     def __init__(self, n: int, indices=()):
         idx = np.fromiter(indices, dtype=object)  # ints of any size, exact
-        bad = (idx < 0) | (idx >= n)
-        if bad.any():
-            raise ValueError(f"index {idx[bad.argmax()]} out of range 0..{n - 1}")
+        if not _takes(idx, n):  # name the first member refused, in order
+            i = next(i for i in idx if not _takes(i, n) or np.ndim(i))
+            raise ValueError(f"index {i} out of range 0..{n - 1}"
+                             if _is_int_type(type(i)) else
+                             f"set member {i!r} is not an integer index")
         self._row = np.zeros(n, dtype=bool)
         self._row[idx.astype(np.intp)] = True
         self._row.flags.writeable = False
@@ -90,8 +92,8 @@ class FiniteSet:
         return int(np.count_nonzero(self._row))
 
     def __contains__(self, i) -> bool:
-        i = int(i)
-        return 0 <= i < self.n and bool(self._row[i])
+        return (_takes(i, self.n) and (_is_int_type(type(i)) or np.ndim(i) == 0)
+                and bool(self._row[_indices(i, self.n)]))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSet)

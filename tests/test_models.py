@@ -320,6 +320,7 @@ class TestFiniteTable:
         ([[0, 1, 2], [1, 2, 0]], "table must be square"),
         (np.zeros((0, 0), dtype=np.int64), "table must be nonempty"),
         ([[0, 1], [1, 2]], "table entries must be indices in 0..n-1"),
+        ([[0, 1], [1]], "table must be square"),
     ])
     def test_direct_refusals(self, table, message):
         # FiniteTable itself, not through table_load

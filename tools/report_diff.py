@@ -33,10 +33,13 @@ The calls are:
   as subsets: ``microassoc`` with W = V = S4 x Z_k, with W = S2 x {0} in
   it, and with W = V = {0, 1, 3} x Z_k, which is not gyration-invariant
   and fails; and ``metric --quotient`` at depth 6 on the chain [G, H, H],
-  H = S4 x Z_k, with H as the subset.
+  H = S4 x Z_k, with H as the subset;
+- ``metric`` on z4 with chain documents that each hold one bad member
+  (1.5, true, -1 or 4), which the CLI refuses with exit 2 and a message
+  that names the member.
 
-Each table is written once to a temporary directory that both trees read,
-as its path is in the ``_config`` record.
+Each table and chain is written once to a temporary directory that both
+trees read, as its path is in the ``_config`` record.
 
 Calls with ``--depth`` above 62 are refused by the CLI and left out, and
 so are ``metric`` calls above depth 20: a tree that builds all 2^depth
@@ -72,6 +75,7 @@ BALLS = [0.8, 0.5]  # ball radii as fractions of c
 CORRUPT_FACTORS = [1, 2, 3, 6, 8]  # g8 x Z_k of order 8 ... 64
 CORRUPTIONS = ["row-swapped", "cell-overwritten", "row-permuted",
                "column-swapped"]
+BAD_MEMBERS = ["1.5", "true", "-1", "4"]  # as JSON text
 
 # run from a tree's root with its src/ on the path; reads the calls from
 # the JSON list of argvs at argv[1], prints [exit, stdout, stderr, --out
@@ -176,6 +180,18 @@ def product_tables(tmp: Path) -> list[tuple[str, ...]]:
     return out
 
 
+def bad_chains(tmp: Path) -> list[str]:
+    """The paths of weak chains on z4, each with one member of
+    ``BAD_MEMBERS`` in its second set, written to ``tmp``."""
+    paths = []
+    for i, member in enumerate(BAD_MEMBERS):
+        path = tmp / f"z4-bad-member-{i}.json"
+        path.write_text('{"flavor": "weak", "sets": [[0, 1, 2, 3], [0, %s]]}'
+                        % member)
+        paths.append(str(path))
+    return paths
+
+
 def call_list(tmp: Path) -> list[list[str]]:
     sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
     from test_golden import CASES
@@ -217,6 +233,8 @@ def call_list(tmp: Path) -> list[list[str]]:
                   ["microassoc", *model, "--vset", v013],
                   ["metric", *model, "--chain", ghh, "--subset", s4,
                    "--quotient", "--depth", "6"]]
+    calls += [["metric", "--model", "table:src/gyrokit/tables/z4.json",
+               "--chain", chain] for chain in bad_chains(tmp)]
     return [argv for argv in calls if depth_of(argv) <= 62
             and (argv[0] != "metric" or depth_of(argv) <= 20)]
 
